@@ -1187,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--store-dir", default=None, metavar="URI",
             help="store root or URI (sqlite:PATH, "
                  "sharded:PATH?shards=N, http://host:port; default: "
-                 "REPRO_STORE_DIR / REPRO_CACHE_DIR / .repro-store)",
+                 "REPRO_STORE_DIR / .repro-store)",
         )
         cmd.add_argument("--json", action="store_true",
                          help="machine-readable output")

@@ -8,7 +8,8 @@ and the final real-evaluated Pareto fronts in (SSIM, area) and
 (SSIM, area, energy) space (Fig. 5).
 
 When constructed with an :class:`~repro.store.ArtifactStore`, the run
-decomposes into five cache-aware stages —
+decomposes into five cache-aware stages, each run through
+:class:`~repro.core.stages.CachedStages` —
 
     preprocessing  -> training_set -> model_construction
                    -> pseudo_pareto -> final_analysis
@@ -28,7 +29,6 @@ artifact refs) — the basis of ``repro runs list|show|resume|gc``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,9 +55,11 @@ from repro.core.modeling import (
 )
 from repro.core.pareto import pareto_front_indices
 from repro.core.preprocessing import reduce_library
+from repro.core.stages import CachedStages
+from repro.errors import ValidationError
 from repro.library.component import ComponentRecord
 from repro.library.library import ComponentLibrary
-from repro.telemetry import complete_event, get_metrics
+from repro.telemetry import get_metrics
 from repro.utils.rng import spawn_rngs
 
 #: Ledger stage names, in execution order.  The heavy stages a warm
@@ -93,6 +95,17 @@ class AutoAxConfig:
             raise ValueError("need at least two train and test samples")
         if not self.engines:
             raise ValueError("at least one learning engine is required")
+        # Checked here, not where used, so a bad request fails before
+        # the library build, the training sets and the model fits.
+        for name in ("max_evaluations", "stagnation_limit", "max_samples"):
+            if getattr(self, name) < 1:
+                raise ValidationError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}"
+                )
+        if self.per_op_cap is not None and self.per_op_cap < 1:
+            raise ValidationError(
+                f"per_op_cap must be None or >= 1, got {self.per_op_cap!r}"
+            )
 
     def cache_payload(self) -> Dict[str, object]:
         """The hashable identity of this config.
@@ -181,6 +194,7 @@ class AutoAx:
         self.run_params = dict(run_params or {})
         self._engine: Optional[EvaluationEngine] = None
         self._acc_hash: Optional[str] = None
+        self._inputs: Optional[Dict[str, object]] = None
 
     # -- individual steps ---------------------------------------------------
 
@@ -300,14 +314,56 @@ class AutoAx:
             power=np.asarray(payload["power"], dtype=float),
         )
 
+    @staticmethod
+    def _dse_payload(pseudo: DSEResult) -> Dict:
+        return {
+            "configs": [list(c) for c in pseudo.configs],
+            "points": pseudo.points.tolist(),
+            "evaluations": pseudo.evaluations,
+            "inserts": pseudo.inserts,
+            "restarts": pseudo.restarts,
+        }
+
+    @staticmethod
+    def _dse_from_payload(payload: Dict) -> DSEResult:
+        points = np.asarray(payload["points"], dtype=float)
+        return DSEResult(
+            configs=[tuple(c) for c in payload["configs"]],
+            points=points.reshape(len(payload["configs"]), -1),
+            evaluations=payload["evaluations"],
+            inserts=payload["inserts"],
+            restarts=payload["restarts"],
+        )
+
+    def _input_hashes(self) -> Dict[str, object]:
+        """Content hashes of the run's inputs, shared by stage keys."""
+        if self._inputs is None:
+            from repro.store import (
+                content_hash, images_fingerprint, library_fingerprint,
+            )
+
+            self._inputs = {
+                "accelerator": self._accelerator_hash(),
+                "library": content_hash(library_fingerprint(self.library)),
+                "images": content_hash(images_fingerprint(self.images)),
+                "scenarios": (
+                    [dict(s) for s in self.scenarios]
+                    if self.scenarios else None
+                ),
+            }
+        return self._inputs
+
+    def _evaluation_inputs(self, space_hash: Optional[str]) -> Dict:
+        """Key inputs of the stages that real-evaluate in the space."""
+        base = self._input_hashes()
+        keys = ("accelerator", "images", "scenarios")
+        return {"space": space_hash, **{k: base[k] for k in keys}}
+
     # -- full pipeline ------------------------------------------------------
 
     def run(self) -> AutoAxResult:
         cfg = self.config
-        store = self.store
-        timings: Dict[str, float] = {}
-        stage_cache: Dict[str, str] = {}
-        stage_records: List[Dict] = []
+        stages = CachedStages(self.store)
         fits_before = fit_count()
         metrics = get_metrics()
         metrics_mark = metrics.mark()
@@ -316,289 +372,138 @@ class AutoAx:
         # Independent per-stage RNG streams: skipping a cached stage
         # must not shift the randomness of the stages that still run.
         rng_train, rng_test, rng_dse = spawn_rngs(cfg.seed, 3)
-
-        base: Dict[str, object] = {}
-        config_hash = None
-        if store is not None:
-            from repro.store import (
-                content_hash,
-                images_fingerprint,
-                library_fingerprint,
-            )
-
-            base = {
-                "accelerator": self._accelerator_hash(),
-                "library": content_hash(
-                    library_fingerprint(self.library)
-                ),
-                "images": content_hash(
-                    images_fingerprint(self.images)
-                ),
-                "scenarios": (
-                    [dict(s) for s in self.scenarios]
-                    if self.scenarios
-                    else None
-                ),
+        config_hash = stages.key(
+            lambda: {
+                "inputs": self._input_hashes(),
+                "config": cfg.cache_payload(),
             }
-            config_hash = content_hash(
-                {"inputs": base, "config": cfg.cache_payload()}
-            )
-
-        def key_of(payload: Dict) -> Optional[str]:
-            if store is None:
-                return None
-            from repro.store import content_hash
-
-            return content_hash(payload)
-
-        def record_stage(name: str, seconds: float, cache: str,
-                         artifacts: List[Dict]) -> None:
-            timings[name] = seconds
-            stage_cache[name] = cache
-            stage_records.append(
-                {
-                    "name": name,
-                    "seconds": round(seconds, 6),
-                    "cache": cache,
-                    "artifacts": artifacts,
-                }
-            )
-            metrics.observe(f"pipeline.stage_seconds.{name}", seconds)
-            metrics.inc(f"pipeline.stage_{cache}")
-            complete_event(
-                f"pipeline.{name}", seconds, cat="pipeline",
-                args={"cache": cache},
-            )
+        )
 
         # ---- stage 1: characterize + reduce (preprocessing) -------------
-        start = time.perf_counter()
-        pre_key = key_of(
-            {
-                "stage": "preprocessing",
-                **base,
-                "max_samples": cfg.max_samples,
-                "per_op_cap": cfg.per_op_cap,
-                "seed": cfg.seed,
-            }
-        )
-        space = None
-        profiles: Optional[Dict[str, OperandProfile]] = None
-        if store is not None:
-            payload = store.get("space", pre_key)
-            cached_profiles = store.get("profiles", pre_key)
-            if payload is not None and cached_profiles is not None:
-                space = self._space_from_payload(payload)
-                profiles = cached_profiles
-        if space is None:
+        def preprocess():
             profiles = self.profile()
             space = self.reduce(profiles)
-            if store is not None:
-                payload = self._space_payload(space)
-                store.put("space", pre_key, payload)
-                store.put("profiles", pre_key, profiles)
-            cache = "miss" if store is not None else "off"
-        else:
-            cache = "hit"
-        space_hash = key_of({"space": payload}) if store is not None \
-            else None
-        record_stage(
-            "preprocessing",
-            time.perf_counter() - start,
-            cache,
-            [] if store is None else [
-                {"kind": "space", "key": pre_key},
-                {"kind": "profiles", "key": pre_key},
-            ],
-        )
+            return self._space_payload(space), profiles, space
+
+        def decode_preprocessed(payload, profiles):
+            space = self._space_from_payload(payload)
+            return None if space is None else (payload, profiles, space)
+
+        with stages.stage("preprocessing"):
+            (space_payload, profiles, space), _ = stages.cached(
+                ("space", "profiles"),
+                lambda: {
+                    "stage": "preprocessing",
+                    **self._input_hashes(),
+                    "max_samples": cfg.max_samples,
+                    "per_op_cap": cfg.per_op_cap,
+                    "seed": cfg.seed,
+                },
+                preprocess,
+                encode=lambda value: value[:2],
+                decode=decode_preprocessed,
+            )
+        space_hash = stages.key(lambda: {"space": space_payload})
 
         # ---- stage 2: real-evaluated training/test sets ------------------
-        start = time.perf_counter()
-        set_keys = {}
-        sets: Dict[str, Optional[TrainingSet]] = {
-            "train": None, "test": None,
-        }
+        sets, set_keys = {}, {}
         counts = {"train": cfg.n_train, "test": cfg.n_test}
         rngs = {"train": rng_train, "test": rng_test}
-        hits = 0
-        for role in ("train", "test"):
-            set_keys[role] = key_of(
-                {
-                    "stage": "training-set",
-                    "role": role,
-                    "space": space_hash,
-                    "accelerator": base.get("accelerator"),
-                    "images": base.get("images"),
-                    "scenarios": base.get("scenarios"),
-                    "count": counts[role],
-                    "seed": cfg.seed,
-                }
-            )
-            if store is not None:
-                payload = store.get("training-set", set_keys[role])
-                if payload is not None:
-                    sets[role] = self._training_from_payload(payload)
-                    hits += 1
-                    continue
-            sets[role] = build_training_set(
-                space, self.engine(), counts[role], rng=rngs[role]
-            )
-            if store is not None:
-                store.put(
+        with stages.stage("training_set"):
+            for role in ("train", "test"):
+                sets[role], set_keys[role] = stages.cached(
                     "training-set",
-                    set_keys[role],
-                    self._training_payload(sets[role]),
+                    lambda: {
+                        "stage": "training-set",
+                        "role": role,
+                        **self._evaluation_inputs(space_hash),
+                        "count": counts[role],
+                        "seed": cfg.seed,
+                    },
+                    lambda: build_training_set(
+                        space, self.engine(), counts[role],
+                        rng=rngs[role],
+                    ),
+                    encode=self._training_payload,
+                    decode=self._training_from_payload,
                 )
         train, test = sets["train"], sets["test"]
-        record_stage(
-            "training_set",
-            time.perf_counter() - start,
-            "off" if store is None else ("hit" if hits == 2 else "miss"),
-            [] if store is None else [
-                {"kind": "training-set", "key": set_keys[r]}
-                for r in ("train", "test")
-            ],
-        )
 
         # ---- stage 3: estimation-model construction ----------------------
-        start = time.perf_counter()
-        models_key = key_of(
-            {
-                "stage": "models",
-                "train": set_keys["train"],
-                "test": set_keys["test"],
-                "space": space_hash,
-                "engines": list(cfg.engines),
-                "include_naive": cfg.include_naive,
-                "hw_features": list(cfg.hw_features),
-                "seed": cfg.seed,
-            }
-        )
-        qor_reports = hw_reports = None
-        if store is not None:
-            payload = store.get("models", models_key)
-            if payload is not None:
-                qor_reports = reports_from_payload(payload["qor"], space)
-                hw_reports = reports_from_payload(payload["hw"], space)
-        if qor_reports is None:
-            qor_reports = fit_engines(
-                space, train, test, target="qor",
+        def fit(target):
+            return fit_engines(
+                space, train, test, target=target,
                 engines=cfg.engines, include_naive=cfg.include_naive,
                 hw_features=cfg.hw_features, seed=cfg.seed,
             )
-            hw_reports = fit_engines(
-                space, train, test, target="area",
-                engines=cfg.engines, include_naive=cfg.include_naive,
-                hw_features=cfg.hw_features, seed=cfg.seed,
+
+        with stages.stage("model_construction"):
+            (qor_reports, hw_reports), models_key = stages.cached(
+                "models",
+                lambda: {
+                    "stage": "models",
+                    "train": set_keys["train"],
+                    "test": set_keys["test"],
+                    "space": space_hash,
+                    "engines": list(cfg.engines),
+                    "include_naive": cfg.include_naive,
+                    "hw_features": list(cfg.hw_features),
+                    "seed": cfg.seed,
+                },
+                lambda: (fit("qor"), fit("area")),
+                encode=lambda reports: {
+                    "qor": reports_to_payload(reports[0]),
+                    "hw": reports_to_payload(reports[1]),
+                },
+                decode=lambda payload: (
+                    reports_from_payload(payload["qor"], space),
+                    reports_from_payload(payload["hw"], space),
+                ),
             )
-            if store is not None:
-                store.put(
-                    "models",
-                    models_key,
-                    {
-                        "qor": reports_to_payload(qor_reports),
-                        "hw": reports_to_payload(hw_reports),
-                    },
-                )
-            cache = "miss" if store is not None else "off"
-        else:
-            cache = "hit"
-        qor_best = select_best_model(qor_reports)
-        hw_best = select_best_model(hw_reports)
-        record_stage(
-            "model_construction",
-            time.perf_counter() - start,
-            cache,
-            [] if store is None else [
-                {"kind": "models", "key": models_key}
-            ],
-        )
+            qor_best = select_best_model(qor_reports)
+            hw_best = select_best_model(hw_reports)
 
         # ---- stage 4: model-driven DSE (pseudo Pareto) -------------------
-        start = time.perf_counter()
-        dse_key = key_of(
-            {
-                "stage": "dse",
-                "models": models_key,
-                "max_evaluations": cfg.max_evaluations,
-                "stagnation_limit": cfg.stagnation_limit,
-                "seed": cfg.seed,
-            }
-        )
-        pseudo = None
-        if store is not None:
-            payload = store.get("dse", dse_key)
-            if payload is not None:
-                points = np.asarray(payload["points"], dtype=float)
-                pseudo = DSEResult(
-                    configs=[tuple(c) for c in payload["configs"]],
-                    points=points.reshape(len(payload["configs"]), -1),
-                    evaluations=payload["evaluations"],
-                    inserts=payload["inserts"],
-                    restarts=payload["restarts"],
-                )
-        if pseudo is None:
-            pseudo = heuristic_pareto_construction(
-                space,
-                qor_best.model,
-                hw_best.model,
-                max_evaluations=cfg.max_evaluations,
-                stagnation_limit=cfg.stagnation_limit,
-                rng=rng_dse,
+        with stages.stage("pseudo_pareto"):
+            pseudo, _ = stages.cached(
+                "dse",
+                lambda: {
+                    "stage": "dse",
+                    "models": models_key,
+                    "max_evaluations": cfg.max_evaluations,
+                    "stagnation_limit": cfg.stagnation_limit,
+                    "seed": cfg.seed,
+                },
+                lambda: heuristic_pareto_construction(
+                    space,
+                    qor_best.model,
+                    hw_best.model,
+                    max_evaluations=cfg.max_evaluations,
+                    stagnation_limit=cfg.stagnation_limit,
+                    rng=rng_dse,
+                ),
+                encode=self._dse_payload,
+                decode=self._dse_from_payload,
             )
-            if store is not None:
-                store.put(
-                    "dse",
-                    dse_key,
-                    {
-                        "configs": [list(c) for c in pseudo.configs],
-                        "points": pseudo.points.tolist(),
-                        "evaluations": pseudo.evaluations,
-                        "inserts": pseudo.inserts,
-                        "restarts": pseudo.restarts,
-                    },
-                )
-            cache = "miss" if store is not None else "off"
-        else:
-            cache = "hit"
-        record_stage(
-            "pseudo_pareto",
-            time.perf_counter() - start,
-            cache,
-            [] if store is None else [{"kind": "dse", "key": dse_key}],
-        )
 
         # ---- stage 5: real evaluation of the pseudo Pareto set -----------
-        start = time.perf_counter()
-        final_key = key_of(
-            {
-                "stage": "final",
-                "space": space_hash,
-                "accelerator": base.get("accelerator"),
-                "images": base.get("images"),
-                "scenarios": base.get("scenarios"),
-                "configs": [list(c) for c in pseudo.configs],
-            }
-        )
-        real = None
-        if store is not None:
-            real = store.get("evaluations", final_key)
-            if real is not None and len(real) != len(pseudo.configs):
-                real = None
-        if real is None:
-            real = self.engine().evaluate_many(space, pseudo.configs)
-            if store is not None:
-                store.put("evaluations", final_key, real)
-            cache = "miss" if store is not None else "off"
-        else:
-            cache = "hit"
-        record_stage(
-            "final_analysis",
-            time.perf_counter() - start,
-            cache,
-            [] if store is None else [
-                {"kind": "evaluations", "key": final_key}
-            ],
-        )
+        with stages.stage("final_analysis"):
+            real, _ = stages.cached(
+                "evaluations",
+                lambda: {
+                    "stage": "final",
+                    **self._evaluation_inputs(space_hash),
+                    "configs": [list(c) for c in pseudo.configs],
+                },
+                lambda: self.engine().evaluate_many(
+                    space, pseudo.configs
+                ),
+                # a stored list of another length is stale
+                decode=lambda stored: (
+                    stored if len(stored) == len(pseudo.configs)
+                    else None
+                ),
+            )
 
         # ---- assemble result + manifest ----------------------------------
         qor = np.asarray([r.qor for r in real])
@@ -629,7 +534,7 @@ class AutoAx:
                 label=self.run_label,
                 params=self.run_params,
                 config_hash=config_hash or "",
-                stages=stage_records,
+                stages=stages.records,
                 seed=cfg.seed,
                 extra={
                     "engine_stats": engine_stats,
@@ -654,8 +559,8 @@ class AutoAx:
             final_points_3d=np.stack(
                 [qor[front3], area[front3], energy[front3]], axis=1
             ),
-            timings=timings,
-            stage_cache=stage_cache,
+            timings=stages.timings,
+            stage_cache=stages.cache,
             run_id=run_id,
             engine_stats=engine_stats,
         )

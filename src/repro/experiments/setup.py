@@ -3,9 +3,7 @@
 Generating and characterising a library takes tens of seconds, so the
 default setup caches it in the persistent experiment store
 (:mod:`repro.store`) — content-addressed by generation plan, under
-``REPRO_STORE_DIR`` (legacy ``REPRO_CACHE_DIR``, else ``.repro-store``).
-Libraries cached by older versions as loose ``.cache/library_*.json``
-files are imported into the store on first use.  ``REPRO_SCALE``
+``REPRO_STORE_DIR`` (else ``.repro-store``).  ``REPRO_SCALE``
 overrides the library scale: 1.0 regenerates the paper-size Table 2
 library (tens of thousands of components — expect a long build).
 """
@@ -14,22 +12,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
 from repro.core.engine import EvaluationEngine
-from repro.errors import LibraryError
+from repro.core.stages import CachedStages
+from repro.errors import ValidationError
 from repro.imaging.datasets import benchmark_images
 from repro.library.generation import (
     PAPER_COUNTS,
     GenerationPlan,
-    generate_library,
     scaled_plan,
 )
-from repro.library.io import load_library
 from repro.library.library import ComponentLibrary
 from repro.store import ArtifactStore, content_hash, open_store
 from repro.workloads import WorkloadBundle, WorkloadRegistry, build_bundle
@@ -44,7 +40,7 @@ SCALE_ENV = "REPRO_SCALE"
 def default_scale() -> float:
     """Library scale from ``REPRO_SCALE`` (validated), else the default.
 
-    Blank or non-numeric values raise a
+    Blank, non-numeric or non-positive values raise a
     :class:`~repro.errors.ValidationError` naming the knob instead of a
     raw ``float()`` traceback mid-setup.
     """
@@ -53,7 +49,10 @@ def default_scale() -> float:
         return DEFAULT_SCALE
     from repro.utils.validation import check_env_float
 
-    return check_env_float(raw, source=SCALE_ENV, minimum=0.0)
+    scale = check_env_float(raw, source=SCALE_ENV)
+    if scale <= 0:
+        raise ValidationError(f"{SCALE_ENV} must be > 0, got {scale}")
+    return scale
 
 #: Default benchmark image geometry (rows, cols).  The paper uses
 #: 384x256 px; benches default to quarter-size for turnaround and accept
@@ -91,20 +90,18 @@ def experiment_store() -> ArtifactStore:
     return open_store()
 
 
-def _plan_key(kind: str, plan: GenerationPlan, scale: float) -> str:
-    """Content key of a generated library: everything that shapes it."""
-    return content_hash(
-        {
-            "kind": kind,
-            "counts": [
-                [k, w, count]
-                for (k, w), count in sorted(plan.counts.items())
-            ],
-            "seed": plan.seed,
-            "sample_size": plan.sample_size,
-            "scale": scale,
-        }
-    )
+def _plan_payload(kind: str, plan: GenerationPlan, scale: float) -> Dict:
+    """Key payload of a generated library: everything that shapes it."""
+    return {
+        "kind": kind,
+        "counts": [
+            [k, w, count]
+            for (k, w), count in sorted(plan.counts.items())
+        ],
+        "seed": plan.seed,
+        "sample_size": plan.sample_size,
+        "scale": scale,
+    }
 
 
 def default_library_key(plan: GenerationPlan, scale: float) -> str:
@@ -114,61 +111,36 @@ def default_library_key(plan: GenerationPlan, scale: float) -> str:
     generate-library --store`` writes the blob under this key so
     ``repro run --store`` / :func:`scaled_library` read it back warm.
     """
-    return _plan_key("default-library", plan, scale)
-
-
-def _legacy_cache_file(filename: str) -> Optional[Path]:
-    """A pre-store ``.cache/`` library JSON, if one exists."""
-    root = os.environ.get("REPRO_CACHE_DIR") or ".cache"
-    path = Path(root) / filename
-    return path if path.is_file() else None
+    return content_hash(_plan_payload("default-library", plan, scale))
 
 
 def _cached_library(
     store: Optional[ArtifactStore],
-    key: str,
-    legacy_name: str,
+    key_payload: Dict,
     plan: GenerationPlan,
     workers: Optional[int] = None,
 ) -> ComponentLibrary:
-    """Load the library from the store (or a legacy file), else build it.
+    """Load the library blob from the store, else build and store it.
 
-    Misses build through the parallel construction pipeline
+    Builds go through the parallel construction pipeline
     (:func:`repro.library.pipeline.build_library`): ``workers``
     processes and per-component memoisation in ``store``, so even a
     whole-library miss only recomputes components no previous plan
     characterised.  With ``store=None`` (``use_cache=False``) nothing
-    is read or written — the library is always regenerated.  Legacy
-    loose JSON caches are migrated into the store so the old
-    ``.cache/`` path keeps paying off after an upgrade; an unreadable
-    legacy file is a transparent miss, matching the store's
-    recompute-never-crash contract.
+    is read or written — the library is always regenerated.
     """
-    if store is None:
-        return generate_library(plan, workers=workers)
-    library = store.get("library", key)
-    if library is not None:
-        return library
-    legacy = _legacy_cache_file(legacy_name)
-    library = None
-    if legacy is not None:
-        try:
-            library = load_library(legacy)
-        except (OSError, ValueError, LibraryError):
-            library = None
-    if library is None:
-        # record_run=False: this build is a sub-step of the calling
-        # pipeline run, which records its own manifest — the ledger
-        # lists runs, not stages.
-        from repro.library.pipeline import build_library
+    from repro.library.pipeline import build_library
 
-        library = build_library(
+    # record_run=False: this build is a sub-step of the calling
+    # pipeline run, which records its own manifest — the ledger lists
+    # runs, not stages.
+    library, _ = CachedStages(store).cached(
+        "library",
+        lambda: key_payload,
+        lambda: build_library(
             plan, workers=workers, store=store, record_run=False
-        ).library
-    store.put(
-        "library", key,
-        library,
-        meta={"components": len(library)},
+        ).library,
+        meta=lambda library: {"components": len(library)},
     )
     return library
 
@@ -187,6 +159,8 @@ def workload_plan(
     reference count at ``scale``, floored so small signatures stay
     populated enough for per-op Pareto filtering.
     """
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     counts = {
         (kind, width): max(floor, int(round(KIND_REFERENCE[kind] * scale)))
         for kind, width in accelerator.op_inventory()
@@ -241,14 +215,10 @@ def workload_setup(
         registry=registry,
     )
     plan = workload_plan(bundle.accelerator, scale, seed=seed)
-    tag = "-".join(
-        f"{kind}{width}" for kind, width in sorted(plan.counts)
-    )
     store = experiment_store() if use_cache else None
     library = _cached_library(
         store,
-        _plan_key("workload-library", plan, scale),
-        f"library_wl_{tag}_scale_{scale:g}_seed_{seed}.json",
+        _plan_payload("workload-library", plan, scale),
         plan,
         workers=workers,
     )
@@ -279,15 +249,16 @@ def run_workload_pipeline(
     """
     from repro.core.pipeline import AutoAx, AutoAxConfig
 
-    setup = workload_setup(
-        name, scale=scale, n_images=n_images, seed=seed,
-    )
+    # The config validates the request before any library is built.
     config = AutoAxConfig(
         n_train=train,
         n_test=max(2, train // 2),
         max_evaluations=evals,
         seed=seed,
         workers=workers,
+    )
+    setup = workload_setup(
+        name, scale=scale, n_images=n_images, seed=seed,
     )
     pipeline = AutoAx(
         setup.accelerator,
@@ -389,15 +360,14 @@ def scaled_library(
 ) -> ComponentLibrary:
     """The Table 2 library at ``scale``, store-cached when asked.
 
-    Shares cache keys (and the legacy-file import) with
-    :func:`default_setup`, so the CLI's ``run --store`` and the
-    experiment drivers reuse one characterised library.
+    Shares cache keys with :func:`default_setup`, so the CLI's ``run
+    --store`` and the experiment drivers reuse one characterised
+    library.
     """
     plan = scaled_plan(scale, seed=seed)
     return _cached_library(
         store,
-        default_library_key(plan, scale),
-        f"library_scale_{scale:g}_seed_{seed}.json",
+        _plan_payload("default-library", plan, scale),
         plan,
         workers=workers,
     )

@@ -35,8 +35,7 @@ single-sqlite tree (``sqlite:PATH``), N hash-sharded subtrees
 location is (``--store``, ``REPRO_STORE_DIR``).
 
 Default (sqlite) disk layout — everything under ``REPRO_STORE_DIR``,
-falling back to the legacy ``REPRO_CACHE_DIR`` and then
-``.repro-store``::
+falling back to ``.repro-store``::
 
     index.sqlite3                       artifact index
     objects/<kind>/<k0k1>/<key>.<ext>   content-addressed blobs
@@ -44,7 +43,6 @@ falling back to the legacy ``REPRO_CACHE_DIR`` and then
 """
 
 from repro.store.artifacts import (
-    CACHE_ENV,
     DEFAULT_STORE_DIR,
     STORE_ENV,
     ArtifactRef,
@@ -78,7 +76,6 @@ from repro.store.synth_cache import (
 __all__ = [
     "ArtifactRef",
     "ArtifactStore",
-    "CACHE_ENV",
     "DEFAULT_STORE_DIR",
     "MANIFEST_VERSION",
     "MemorySynthCache",

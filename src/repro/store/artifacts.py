@@ -52,31 +52,31 @@ from repro.store.uri import parse_store_uri
 from repro.telemetry import get_metrics
 from repro.utils.validation import check_env_dir
 
-#: Environment knobs: the store root (a path or store URI), and the
-#: legacy library-cache root (used as a fallback store root so old
-#: workflows keep one cache tree).
+#: Environment knob: the store root (a path or store URI).
 STORE_ENV = "REPRO_STORE_DIR"
-CACHE_ENV = "REPRO_CACHE_DIR"
 
 #: Default store root in the working tree.
 DEFAULT_STORE_DIR = ".repro-store"
 
 
 def default_store_dir() -> Path:
-    """Resolve the *local* store root: ``REPRO_STORE_DIR``, legacy
-    ``REPRO_CACHE_DIR``, then ``.repro-store``.
+    """Resolve the *local* store root: ``REPRO_STORE_DIR``, then
+    ``.repro-store``.
 
-    Set-but-blank values are configuration errors (see
-    :func:`~repro.utils.validation.check_env_dir`), not silent
-    fallbacks.  Callers that also accept store URIs go through
-    :func:`open_store` instead, which resolves the same knobs through
+    A set-but-blank value is a configuration error (see
+    :func:`~repro.utils.validation.check_env_dir`), not a silent
+    fallback.  Callers that also accept store URIs go through
+    :func:`open_store` instead, which resolves the same knob through
     :func:`~repro.store.uri.parse_store_uri`.
     """
-    for env in (STORE_ENV, CACHE_ENV):
-        value = os.environ.get(env)
-        if value is not None:
-            return Path(check_env_dir(value, source=env))
-    return Path(DEFAULT_STORE_DIR)
+    return Path(_env_store_root())
+
+
+def _env_store_root() -> str:
+    value = os.environ.get(STORE_ENV)
+    if value is None:
+        return DEFAULT_STORE_DIR
+    return check_env_dir(value, source=STORE_ENV)
 
 
 # -- codecs -----------------------------------------------------------------
@@ -388,13 +388,7 @@ def open_store(root=None) -> ArtifactStore:
     if isinstance(root, ArtifactStore):
         return root
     if root is None:
-        for env in (STORE_ENV, CACHE_ENV):
-            value = os.environ.get(env)
-            if value is not None:
-                root = check_env_dir(value, source=env)
-                break
-        else:
-            root = DEFAULT_STORE_DIR
+        root = _env_store_root()
     return ArtifactStore(backend=parse_store_uri(root))
 
 

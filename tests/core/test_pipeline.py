@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.pipeline import AutoAx, AutoAxConfig
 from repro.core.pareto import dominates
+from repro.errors import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,13 @@ class TestAutoAxConfig:
     def test_empty_engines(self):
         with pytest.raises(ValueError):
             AutoAxConfig(engines=())
+
+    @pytest.mark.parametrize("field", [
+        "max_evaluations", "stagnation_limit", "max_samples", "per_op_cap",
+    ])
+    def test_non_positive_limits_rejected(self, field):
+        with pytest.raises(ValidationError, match=field):
+            AutoAxConfig(**{field: 0})
 
 
 class TestPipelineRun:

@@ -171,19 +171,13 @@ class TestGc:
 class TestEnvResolution:
     def test_default_dir_priority(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert str(default_store_dir()) == ".repro-store"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
-        assert default_store_dir() == tmp_path / "legacy"
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "new"))
         assert default_store_dir() == tmp_path / "new"
 
-    @pytest.mark.parametrize("env", ["REPRO_STORE_DIR",
-                                     "REPRO_CACHE_DIR"])
+    @pytest.mark.parametrize("env", ["REPRO_STORE_DIR"])
     @pytest.mark.parametrize("bad", ["", "   ", "\t"])
     def test_blank_env_values_rejected(self, monkeypatch, env, bad):
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv(env, bad)
         with pytest.raises(ValidationError, match=env):
             default_store_dir()

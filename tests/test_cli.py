@@ -145,7 +145,7 @@ class TestCommands:
     def test_workloads_run_family_dse(self, name, tmp_path,
                                       monkeypatch, capsys):
         """End-to-end DSE on new N x N family workloads."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "cache"))
         front_path = tmp_path / "front.csv"
         assert main(
             ["workloads", "run", name, "--scale", "0.001",

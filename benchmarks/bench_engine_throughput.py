@@ -14,25 +14,17 @@ The engine targets the paper's many-runs regime (many benchmark images
 and/or kernel scenarios per evaluation), where per-run interpretation and
 per-call SSIM overheads dominate; the benchmark geometry — many small
 tiles — reflects that.  Compiled results are asserted bit-identical to
-the interpreter on randomised inputs and assignments before timing.
+the interpreter on randomised inputs and assignments before timing, the
+compiled speed-up must stay >= 3x, and the pooled results must equal the
+serial ones.
 
-The *generation-batch* section measures the configuration-axis batched
-``evaluate_many`` against the per-config loop on NSGA-II-shaped
-generations (C in {8, 32, 128} offspring built with
-:func:`repro.core.nsga2.make_offspring`): results are asserted
-byte-identical, the C = 32 speed-up must stay >= 2x, and the
-machine-readable doc of each run is appended to the
-``BENCH_engine.json`` trajectory (a JSON array) in the working tree.
-
-Run ``python benchmarks/bench_engine_throughput.py --smoke`` (or set
-``REPRO_ENGINE_SMOKE=1``) for the CI variant, which runs only the
-generation-batch section; the library is store-cached
-(``REPRO_STORE_DIR``), so a warmed store skips characterisation.
+Run ``python -m pytest benchmarks/bench_engine_throughput.py -x -q``;
+the library is store-cached (``REPRO_STORE_DIR``), so a warmed store
+skips characterisation.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -44,9 +36,7 @@ if __package__ in (None, ""):  # `python benchmarks/bench_engine_throughput.py`
 import numpy as np
 
 from benchmarks._common import (
-    bench_metrics,
     build_engine,
-    metrics_mark,
     shared_setup,
     sized,
     throughput,
@@ -54,29 +44,12 @@ from benchmarks._common import (
 )
 from repro.accelerators.profiler import profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
-from repro.core.engine import NO_CONFIG_BATCH_ENV
-from repro.core.nsga2 import make_offspring
 from repro.core.preprocessing import reduce_library
 from repro.imaging.datasets import benchmark_images
 from repro.imaging.metrics import ssim
 
 #: Tile geometry of the throughput runs (many small runs per evaluation).
 TILE_SHAPE = (24, 32)
-
-#: Bench trajectory file (machine-readable, one doc per run).
-BENCH_JSON = Path("BENCH_engine.json")
-
-#: Generation sizes of the configuration-axis batched section.
-GENERATION_SIZES = (8, 32, 128)
-
-#: Acceptance floor: batched evaluate_many speed-up at C = 32.
-SPEEDUP_FLOOR = 2.0
-
-
-def _smoke() -> bool:
-    return os.environ.get("REPRO_ENGINE_SMOKE", "0") not in (
-        "0", "", "false",
-    )
 
 
 def _assert_bit_identical(space, graph, rng) -> None:
@@ -174,135 +147,6 @@ def test_engine_throughput():
     # cost relative to this (deliberately small) workload.
 
 
-def _best_of(repeats, fn):
-    """Best (minimum) wall seconds of ``repeats`` calls, plus last result."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def test_generation_batch():
-    """Batched vs per-config ``evaluate_many`` on NSGA-II generations."""
-    setup = shared_setup()
-    sobel = SobelEdgeDetector()
-    # The search-loop regime the batched pass targets: a small stacked
-    # run batch re-evaluated for every offspring of every generation,
-    # where per-config dispatch overhead dominates the arithmetic.
-    images = benchmark_images(2, shape=TILE_SHAPE)
-    profiles = profile_accelerator(sobel, images, rng=setup.seed)
-    space = reduce_library(sobel, setup.library, profiles)
-    engine = build_engine(sobel, images)
-    rng = np.random.default_rng(setup.seed + 3)
-    mark = metrics_mark()
-
-    def generation(count):
-        population = np.stack(
-            [space.random_configuration(rng) for _ in range(count)]
-        ).astype(np.int64)
-        rank = np.zeros(count, dtype=np.int64)
-        crowd = np.full(count, np.inf)
-        children = make_offspring(space, population, rank, crowd, rng)
-        return [tuple(int(g) for g in row) for row in children]
-
-    batches = {c: generation(c) for c in GENERATION_SIZES}
-
-    # Warm synthesis memo + stacked LUTs so the timings below measure
-    # the steady-state search loop, not one-time characterisation.
-    for configs in batches.values():
-        engine.evaluate_many(space, configs)
-
-    repeats = 3
-    rows, speedups = [], {}
-    saved = os.environ.get(NO_CONFIG_BATCH_ENV)
-    for count, configs in sorted(batches.items()):
-        try:
-            os.environ[NO_CONFIG_BATCH_ENV] = "1"
-            per_s, per_results = _best_of(
-                repeats, lambda: engine.evaluate_many(space, configs)
-            )
-        finally:
-            if saved is None:
-                os.environ.pop(NO_CONFIG_BATCH_ENV, None)
-            else:
-                os.environ[NO_CONFIG_BATCH_ENV] = saved
-        batch_s, batch_results = _best_of(
-            repeats, lambda: engine.evaluate_many(space, configs)
-        )
-        # Byte-identity of the whole generation, not a tolerance check.
-        assert batch_results == per_results
-        speedups[count] = per_s / batch_s if batch_s > 0 else float(
-            "inf"
-        )
-        rows.append(
-            f"  C = {count:4d}: per-config {per_s * 1e3:8.2f} ms   "
-            f"batched {batch_s * 1e3:8.2f} ms   "
-            f"speed-up {speedups[count]:6.2f}x   identical"
-        )
-
-    metrics = bench_metrics(mark)
-    config_batches = int(
-        metrics.get("counters", {}).get("engine.config_batches", 0)
-    )
-    write_result(
-        "engine_generation_batch",
-        (
-            f"Sobel, {len(images)} runs of {TILE_SHAPE[0]}x"
-            f"{TILE_SHAPE[1]} px, NSGA-II generations "
-            f"(best of {repeats}, warm synthesis)\n"
-            + "\n".join(rows) + "\n"
-            f"configuration-axis batches executed: {config_batches}\n"
-            f"acceptance floor at C = 32: {SPEEDUP_FLOOR:.1f}x"
-        ),
-    )
-
-    doc = {
-        "version": 1,
-        "bench": "engine_generation_batch",
-        "mode": "smoke" if _smoke() else "full",
-        "tile_shape": list(TILE_SHAPE),
-        "runs": len(images),
-        "repeats": repeats,
-        "generation_sizes": list(GENERATION_SIZES),
-        "speedups": {str(c): round(s, 4) for c, s in speedups.items()},
-        "speedup_floor": SPEEDUP_FLOOR,
-        "identical": True,
-        "config_batches": config_batches,
-        "metrics": metrics,
-    }
-    trajectory = []
-    if BENCH_JSON.is_file():
-        try:
-            previous = json.loads(BENCH_JSON.read_text())
-            if isinstance(previous, list):
-                trajectory = previous
-        except (OSError, json.JSONDecodeError):
-            trajectory = []
-    trajectory.append(doc)
-    BENCH_JSON.write_text(
-        json.dumps(trajectory, sort_keys=True, indent=2) + "\n"
-    )
-
-    # Acceptance bar: the batched pass actually ran, and a 32-config
-    # generation is at least 2x faster than the per-config loop.
-    assert config_batches > 0
-    assert speedups[32] >= SPEEDUP_FLOOR
-
-
 if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI variant: generation-batch section only",
-    )
-    cli_args = parser.parse_args()
-    if cli_args.smoke:
-        os.environ["REPRO_ENGINE_SMOKE"] = "1"
-    if not _smoke():
-        test_engine_throughput()
-    test_generation_batch()
+    test_engine_throughput()
     print("bench_engine_throughput: OK")

@@ -20,7 +20,10 @@ Two evaluation paths exist:
   instructions are plain tuples, which keeps programs picklable for the
   multiprocessing evaluation engine.  Input arrays may have any shape —
   in particular a stacked batch of all (image x scenario) runs — since
-  every operation is elementwise.
+  every operation is elementwise.  :meth:`GraphProgram.execute` is the
+  one executor, a plain step loop (operand capture rides the same loop);
+  :meth:`GraphProgram.execute_batch` is a loop over it for callers that
+  hold per-configuration LUT tables.
 * :meth:`DataflowGraph.evaluate_interpreted` — the original dict-walking
   interpreter, kept as the reference for differential tests and the
   throughput benchmarks.
@@ -29,7 +32,6 @@ Two evaluation paths exist:
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,11 +41,6 @@ from repro.errors import AcceleratorError
 from repro.utils.bitops import bit_mask
 
 OpImpl = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-#: Environment escape hatch: set to disable the fused execution path
-#: (bit-identical either way; kept for differential benchmarks).
-NO_FUSION_ENV = "REPRO_NO_FUSION"
-
 
 class NodeKind(enum.Enum):
     INPUT = "input"
@@ -89,11 +86,6 @@ _EXACT_CODES = {
     NodeKind.SUB: _EXACT_SUB,
     NodeKind.MUL: _EXACT_MUL,
 }
-
-#: Ufunc per exact code — indexable in the fused executor so the masked
-#: operands feed straight into an ``out=``-capable kernel.
-_EXACT_UFUNCS = (np.add, np.subtract, np.multiply)
-
 
 class GraphProgram:
     """A :class:`DataflowGraph` lowered to a flat register program.
@@ -184,99 +176,6 @@ class GraphProgram:
             )
             for i in range(len(steps))
         )
-        self._plan = self._build_fused_plan()
-
-    # -- fused-plan construction ---------------------------------------------
-
-    def _value_ranges(self) -> List[Optional[Tuple[int, int]]]:
-        """Conservative per-register value ranges ``(lo, hi)``.
-
-        Inputs are masked (``[0, mask]``), constants are literal, the
-        wiring ops (shift/abs/clip) propagate ranges exactly, and the
-        output of any approximable op is unknown (``None``) — an
-        assigned implementation may return anything.  Sound for every
-        assignment, so it can be computed once at lowering time.
-        """
-        ranges: List[Optional[Tuple[int, int]]] = [None] * self.n_regs
-        for _, reg, mask in self.inputs:
-            ranges[reg] = (0, int(mask))
-        for reg, value in self.consts:
-            ranges[reg] = (int(value), int(value))
-        for step in self.steps:
-            code = step[0]
-            if code == _OP:
-                ranges[step[1]] = None
-            elif code in (_SHL, _SHR):
-                src = ranges[step[2]]
-                if src is not None:
-                    lo, hi = src
-                    amount = step[3]
-                    if code == _SHL:
-                        ranges[step[1]] = (lo << amount, hi << amount)
-                    else:
-                        ranges[step[1]] = (lo >> amount, hi >> amount)
-            elif code == _ABS:
-                src = ranges[step[2]]
-                if src is not None:
-                    lo, hi = src
-                    ranges[step[1]] = (
-                        0 if lo <= 0 <= hi else min(abs(lo), abs(hi)),
-                        max(abs(lo), abs(hi)),
-                    )
-            else:  # _CLIP — output range known even for unknown input
-                low, high = step[3], step[4]
-                src = ranges[step[2]]
-                if src is None:
-                    ranges[step[1]] = (low, high)
-                else:
-                    lo, hi = src
-                    ranges[step[1]] = (
-                        min(max(lo, low), high),
-                        min(max(hi, low), high),
-                    )
-        return ranges
-
-    def _build_fused_plan(self) -> Tuple[Tuple[int, ...], ...]:
-        """Steps annotated for the fused executor (plain picklable data).
-
-        Per ``_OP`` step: whether each operand's ``& mask`` is provably
-        redundant (operand range already within ``[0, mask]``); per
-        step: whether an operand dies at this step, so its buffer can be
-        written in place.  Fusing the mask into the arithmetic ufunc and
-        recycling dead buffers removes most of the per-instruction
-        temporaries without changing a single output bit.
-        """
-        ranges = self._value_ranges()
-        plan: List[Tuple[int, ...]] = []
-        for step, dead in zip(self.steps, self.releases):
-            code = step[0]
-            if code == _OP:
-                _, dest, a, b, mask, exact, opi = step
-
-                def needs_mask(reg: int) -> bool:
-                    r = ranges[reg]
-                    return r is None or r[0] < 0 or r[1] > mask
-                plan.append(
-                    (
-                        code, dest, a, b, mask, exact, opi,
-                        needs_mask(a), needs_mask(b),
-                        a in dead, b in dead,
-                    )
-                )
-            elif code in (_SHL, _SHR):
-                plan.append(
-                    (code, step[1], step[2], step[3], step[2] in dead)
-                )
-            elif code == _ABS:
-                plan.append((code, step[1], step[2], step[2] in dead))
-            else:  # _CLIP
-                plan.append(
-                    (
-                        code, step[1], step[2], step[3], step[4],
-                        step[2] in dead,
-                    )
-                )
-        return tuple(plan)
 
     def execute(
         self,
@@ -314,107 +213,6 @@ class GraphProgram:
             impls = tuple(assignment.get(n) for n in self.op_names)
         else:
             impls = self._no_impls
-        if capture is None and not os.environ.get(NO_FUSION_ENV):
-            return self._execute_fused(regs, impls)
-        return self._execute_classic(regs, impls, capture)
-
-    def execute_batch(
-        self,
-        input_values: Dict[str, np.ndarray],
-        tables: Sequence[Optional[Tuple[np.ndarray, np.ndarray, int, int]]],
-        assume_masked: bool = False,
-    ) -> np.ndarray:
-        """Run the program for ``C`` configurations in one pass.
-
-        ``tables`` aligns with :attr:`op_names`; each entry is ``None``
-        (the op stays exact for every configuration) or a tuple
-        ``(flat_lut, rows, width, mask)`` where ``flat_lut`` is the
-        concatenation of the candidate LUTs of that op (``4**width``
-        entries per candidate, int64) and ``rows`` holds the ``(C,)``
-        per-configuration candidate indices.  Each such op becomes a
-        single gather ``flat_lut[((a & mask) << width | (b & mask)) +
-        (rows << 2*width)]`` that grows a leading configuration axis;
-        exact ops and the wiring steps broadcast across it for free.
-
-        Per configuration ``c`` the result is bit-identical to
-        ``execute(input_values, assignment_c)``: the gathered values are
-        exactly the per-record LUT entries, and the exact/wiring steps
-        run the same ufuncs on the same int64 values (broadcasting only
-        adds the leading axis).  The returned array broadcasts against
-        ``(C,) + batch_shape``; the leading configuration axis is
-        present as soon as any op consumed a table.  Capture mode is not
-        supported here — callers that need operand capture use the
-        per-configuration :meth:`execute` path.
-        """
-        if len(tables) != len(self.op_names):
-            raise AcceleratorError(
-                f"expected {len(self.op_names)} table entries, "
-                f"got {len(tables)}"
-            )
-        regs: List[Optional[np.ndarray]] = [None] * self.n_regs
-        base_rank = 0
-        for name, reg, mask in self.inputs:
-            if name not in input_values:
-                raise AcceleratorError(
-                    f"missing value for input {name!r}"
-                )
-            if assume_masked:
-                value = input_values[name]
-            else:
-                value = (
-                    np.asarray(input_values[name], dtype=np.int64) & mask
-                )
-            regs[reg] = value
-            if isinstance(value, np.ndarray):
-                base_rank = max(base_rank, value.ndim)
-        # Pad every input array to one common rank so the configuration
-        # axis added by the gathers is unambiguous (always axis 0).
-        # Leading length-1 axes broadcast exactly like absent axes, so
-        # values are unchanged.
-        for name, reg, _ in self.inputs:
-            value = regs[reg]
-            if (
-                isinstance(value, np.ndarray)
-                and 0 < value.ndim < base_rank
-            ):
-                regs[reg] = value.reshape(
-                    (1,) * (base_rank - value.ndim) + value.shape
-                )
-        for reg, value in self.consts:
-            regs[reg] = value
-        row_shape = (-1,) + (1,) * base_rank
-        for step, dead in zip(self.steps, self.releases):
-            code = step[0]
-            if code == _OP:
-                _, dest, a, b, mask, exact, opi = step
-                av = regs[a]
-                bv = regs[b]
-                entry = tables[opi]
-                if entry is not None:
-                    flat, rows, width, op_mask = entry
-                    idx = ((av & op_mask) << width) | (bv & op_mask)
-                    offsets = (rows << (2 * width)).reshape(row_shape)
-                    regs[dest] = flat[idx + offsets]
-                elif exact == _EXACT_ADD:
-                    regs[dest] = (av & mask) + (bv & mask)
-                elif exact == _EXACT_SUB:
-                    regs[dest] = (av & mask) - (bv & mask)
-                else:
-                    regs[dest] = (av & mask) * (bv & mask)
-            elif code == _SHL:
-                regs[step[1]] = regs[step[2]] << step[3]
-            elif code == _SHR:
-                regs[step[1]] = regs[step[2]] >> step[3]
-            elif code == _ABS:
-                regs[step[1]] = np.abs(regs[step[2]])
-            else:  # _CLIP
-                regs[step[1]] = np.clip(regs[step[2]], step[3], step[4])
-            for reg in dead:
-                regs[reg] = None
-        return regs[self.out_reg]
-
-    def _execute_classic(self, regs, impls, capture):
-        """One allocating numpy call per sub-expression (reference path)."""
         op_names = self.op_names
         for step, dead in zip(self.steps, self.releases):
             code = step[0]
@@ -445,155 +243,71 @@ class GraphProgram:
                 regs[reg] = None
         return regs[self.out_reg]
 
-    def _execute_fused(self, regs, impls):
-        """Fused kernels: mask-elision, ``out=`` ufuncs, buffer reuse.
+    def execute_batch(
+        self,
+        input_values: Dict[str, np.ndarray],
+        tables: Sequence[Optional[Tuple[np.ndarray, np.ndarray, int, int]]],
+        assume_masked: bool = False,
+    ) -> np.ndarray:
+        """Run the program for ``C`` configurations, one :meth:`execute` each.
 
-        Semantically (bit-)identical to :meth:`_execute_classic` — the
-        same ufuncs run on the same values — but each exact op fuses its
-        operand masking (elided entirely when the lowering-time range
-        analysis proves it redundant) into ufunc calls that write into
-        recycled buffers.  The pool only ever holds arrays this executor
-        allocated itself (``own``), so implementation outputs, inputs
-        and the returned output array are never written in place.
+        ``tables`` aligns with :attr:`op_names`; each entry is ``None``
+        (the op stays exact for every configuration) or a tuple
+        ``(flat_lut, rows, width, mask)`` where ``flat_lut`` is the
+        concatenation of the candidate LUTs of that op (``4**width``
+        entries per candidate, int64) and ``rows`` holds the ``(C,)``
+        per-configuration candidate indices.  Configuration ``c`` runs
+        with that op gathering from its candidate's block,
+        ``flat_lut[((a & mask) << width | (b & mask)) + (rows[c] <<
+        2*width)]``, so row ``c`` of the result is bit-identical to
+        ``execute(input_values, assignment_c)``.
+
+        The rows are stacked on a leading configuration axis above the
+        common input rank, so the result broadcasts against ``(C,) +
+        batch_shape``; with no table at all the single exact result is
+        returned without that axis.
         """
-        pool: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-        own = [False] * self.n_regs
-        ndarray = np.ndarray
+        if len(tables) != len(self.op_names):
+            raise AcceleratorError(
+                f"expected {len(self.op_names)} table entries, "
+                f"got {len(tables)}"
+            )
+        tabled = [
+            (name, entry)
+            for name, entry in zip(self.op_names, tables)
+            if entry is not None
+        ]
+        if not tabled:
+            return self.execute(input_values, assume_masked=assume_masked)
+        base_rank = max(
+            (np.ndim(input_values.get(name)) for name, _, _ in self.inputs),
+            default=0,
+        )
+        rows = []
+        for c in range(len(tabled[0][1][1])):
+            assignment = {
+                name: _table_impl(entry, c) for name, entry in tabled
+            }
+            out = np.asarray(
+                self.execute(
+                    input_values, assignment, assume_masked=assume_masked
+                )
+            )
+            rows.append(
+                out.reshape((1,) * (base_rank - out.ndim) + out.shape)
+            )
+        return np.stack(rows)
 
-        def take(shape):
-            stack = pool.get(shape)
-            if stack:
-                return stack.pop()
-            return np.empty(shape, dtype=np.int64)
 
-        for plan, dead in zip(self._plan, self.releases):
-            code = plan[0]
-            if code == _OP:
-                (_, dest, a, b, mask, exact, opi,
-                 need_a, need_b, a_dies, b_dies) = plan
-                av = regs[a]
-                bv = regs[b]
-                impl = impls[opi]
-                if impl is not None:
-                    regs[dest] = impl(av, bv)
-                    own[dest] = False
-                else:
-                    a_arr = type(av) is ndarray
-                    b_arr = type(bv) is ndarray
-                    if not a_arr and not b_arr:
-                        am = (av & mask) if need_a else av
-                        bm = (bv & mask) if need_b else bv
-                        regs[dest] = _EXACT_UFUNCS[exact](am, bm)
-                        own[dest] = False
-                    else:
-                        am, am_own = av, False
-                        bm, bm_own = bv, False
-                        if need_a:
-                            if a_arr:
-                                if a_dies and own[a]:
-                                    own[a] = False
-                                    np.bitwise_and(av, mask, out=av)
-                                    am, am_own = av, True
-                                else:
-                                    am = take(av.shape)
-                                    np.bitwise_and(av, mask, out=am)
-                                    am_own = True
-                            else:
-                                am = av & mask
-                        if need_b:
-                            if b_arr:
-                                if b_dies and own[b] and bv is not am:
-                                    own[b] = False
-                                    np.bitwise_and(bv, mask, out=bv)
-                                    bm, bm_own = bv, True
-                                elif bv is am:
-                                    # a and b share a register that was
-                                    # just masked in place.
-                                    bm = am
-                                else:
-                                    bm = take(bv.shape)
-                                    np.bitwise_and(bv, mask, out=bm)
-                                    bm_own = True
-                            else:
-                                bm = bv & mask
-                        if a_arr and b_arr:
-                            rshape = (
-                                am.shape if am.shape == bm.shape
-                                else np.broadcast_shapes(
-                                    am.shape, bm.shape
-                                )
-                            )
-                        else:
-                            rshape = am.shape if a_arr else bm.shape
-                        if am_own and am.shape == rshape:
-                            out_buf, am_own = am, False
-                        elif bm_own and bm.shape == rshape:
-                            out_buf, bm_own = bm, False
-                        else:
-                            out_buf = take(rshape)
-                        _EXACT_UFUNCS[exact](am, bm, out=out_buf)
-                        regs[dest] = out_buf
-                        own[dest] = True
-                        if am_own:
-                            pool.setdefault(am.shape, []).append(am)
-                        if bm_own:
-                            pool.setdefault(bm.shape, []).append(bm)
-            elif code == _SHL or code == _SHR:
-                _, dest, src, amount, src_dies = plan
-                v = regs[src]
-                ufunc = np.left_shift if code == _SHL else np.right_shift
-                if type(v) is ndarray:
-                    if src_dies and own[src]:
-                        own[src] = False
-                        ufunc(v, amount, out=v)
-                        regs[dest] = v
-                    else:
-                        buf = take(v.shape)
-                        ufunc(v, amount, out=buf)
-                        regs[dest] = buf
-                    own[dest] = True
-                else:
-                    regs[dest] = ufunc(v, amount)
-                    own[dest] = False
-            elif code == _ABS:
-                _, dest, src, src_dies = plan
-                v = regs[src]
-                if type(v) is ndarray:
-                    if src_dies and own[src]:
-                        own[src] = False
-                        np.abs(v, out=v)
-                        regs[dest] = v
-                    else:
-                        buf = take(v.shape)
-                        np.abs(v, out=buf)
-                        regs[dest] = buf
-                    own[dest] = True
-                else:
-                    regs[dest] = np.abs(v)
-                    own[dest] = False
-            else:  # _CLIP
-                _, dest, src, low, high, src_dies = plan
-                v = regs[src]
-                if type(v) is ndarray:
-                    if src_dies and own[src]:
-                        own[src] = False
-                        np.clip(v, low, high, out=v)
-                        regs[dest] = v
-                    else:
-                        buf = take(v.shape)
-                        np.clip(v, low, high, out=buf)
-                        regs[dest] = buf
-                    own[dest] = True
-                else:
-                    regs[dest] = np.clip(v, low, high)
-                    own[dest] = False
-            for reg in dead:
-                if own[reg]:
-                    arr = regs[reg]
-                    pool.setdefault(arr.shape, []).append(arr)
-                    own[reg] = False
-                regs[reg] = None
-        return regs[self.out_reg]
+def _table_impl(entry, c: int) -> OpImpl:
+    """Configuration ``c``'s op impl: a gather from its LUT block."""
+    flat, rows, width, mask = entry
+    offset = rows[c] << (2 * width)
+
+    def impl(a, b):
+        return flat[(((a & mask) << width) | (b & mask)) + offset]
+
+    return impl
 
 
 class DataflowGraph:

@@ -148,6 +148,36 @@ def _workers_arg(text: str) -> int:
     return int(text)
 
 
+def _count_arg(minimum: int):
+    """argparse type for a count option: an integer ``>= minimum``.
+
+    A bad ``--images``/``--evals``/``--train`` value then ends in a
+    one-line usage error (exit 2) instead of a traceback from deep in
+    the pipeline.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+#: ``--images`` and ``--evals`` need at least one; a model fit needs two
+#: training configurations.
+_positive_arg = _count_arg(1)
+_train_arg = _count_arg(2)
+
+
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=_workers_arg, default=None,
@@ -1071,16 +1101,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser("profile", help="operand profiling stats")
     _add_accelerator_arg(prof)
-    prof.add_argument("--images", type=int, default=4)
+    prof.add_argument("--images", type=_positive_arg, default=4)
     prof.add_argument("--seed", type=int, default=0)
 
     run = sub.add_parser("run", help="full autoAx pipeline")
     _add_accelerator_arg(run)
     run.add_argument("--library", help="library JSON (else generated)")
     run.add_argument("--scale", type=float, default=0.01)
-    run.add_argument("--images", type=int, default=4)
-    run.add_argument("--train", type=int, default=150)
-    run.add_argument("--evals", type=int, default=10_000)
+    run.add_argument("--images", type=_positive_arg, default=4)
+    run.add_argument("--train", type=_train_arg, default=150)
+    run.add_argument("--evals", type=_positive_arg, default=10_000)
     run.add_argument("--seed", type=int, default=0)
     _add_workers_arg(run)
     _add_store_arg(run)
@@ -1100,9 +1130,9 @@ def build_parser() -> argparse.ArgumentParser:
     wl_run.add_argument("name", help="workload name (see 'list')")
     wl_run.add_argument("--scale", type=float, default=None,
                         help="library scale (default: REPRO_SCALE)")
-    wl_run.add_argument("--images", type=int, default=4)
-    wl_run.add_argument("--train", type=int, default=150)
-    wl_run.add_argument("--evals", type=int, default=10_000)
+    wl_run.add_argument("--images", type=_positive_arg, default=4)
+    wl_run.add_argument("--train", type=_train_arg, default=150)
+    wl_run.add_argument("--evals", type=_positive_arg, default=10_000)
     wl_run.add_argument("--seed", type=int, default=0)
     _add_workers_arg(wl_run)
     _add_store_arg(wl_run)
@@ -1128,8 +1158,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="merge/migrate rounds")
     search.add_argument("--scale", type=float, default=None,
                         help="library scale (default: REPRO_SCALE)")
-    search.add_argument("--images", type=int, default=2)
-    search.add_argument("--train", type=int, default=60,
+    search.add_argument("--images", type=_positive_arg, default=2)
+    search.add_argument("--train", type=_train_arg, default=60,
                         help="real-evaluated training configurations")
     search.add_argument("--test", type=int, default=30,
                         help="held-out configurations for fidelity")

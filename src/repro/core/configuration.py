@@ -12,7 +12,7 @@ arrays the estimation models consume:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,22 +86,18 @@ class ConfigurationSpace:
         self._wmed_flat = np.concatenate(self.wmeds)
         self._hw_flat = np.vstack(self._hw)
         self._stat_flat: Dict[str, np.ndarray] = {}
-        # Per-slot caches rebuilt lazily (and dropped from pickles, see
-        # __getstate__): stacked candidate LUTs for the config-axis
-        # batched engine path and memoised per-candidate impl closures.
-        self._slot_luts: Dict[int, np.ndarray] = {}
+        # Memoised per-candidate impl closures, rebuilt lazily (and
+        # dropped from pickles, see __getstate__).
         self._impl_memo: Dict[Tuple[int, int], Callable] = {}
 
     def __getstate__(self):
-        """Pickle without the lazy per-slot caches.
+        """Pickle without the lazy impl memo.
 
-        The impl closures are unpicklable (nested functions) and the
-        stacked LUTs are bulky duplicates of the per-record tables;
-        both rebuild lazily on first use, so workers receiving a space
-        through the parallel runtime start from empty caches.
+        The impl closures are unpicklable (nested functions); they
+        rebuild lazily on first use, so workers receiving a space
+        through the parallel runtime start from an empty memo.
         """
         state = self.__dict__.copy()
-        state["_slot_luts"] = {}
         state["_impl_memo"] = {}
         return state
 
@@ -332,64 +328,6 @@ class ConfigurationSpace:
                 self._impl_memo[key] = impl
             impls[slot.name] = impl
         return impls
-
-    # -- configuration-axis batching ----------------------------------------
-
-    def lut_capable(self) -> bool:
-        """True when every slot's candidates fit the exhaustive-LUT limit."""
-        return all(
-            group[0].width <= MAX_LUT_WIDTH for group in self.choices
-        )
-
-    def stacked_lut(self, k: int) -> np.ndarray:
-        """Concatenated candidate LUTs of slot ``k`` (cached).
-
-        Candidate ``i`` occupies entries ``[i * 4**width, (i + 1) *
-        4**width)``; each block is exactly ``choices[k][i].lut()``, so a
-        gather at offset ``i * 4**width + j`` reads the same int64 value
-        the per-configuration LUT impl would.
-        """
-        flat = self._slot_luts.get(k)
-        if flat is None:
-            group = self.choices[k]
-            if group[0].width > MAX_LUT_WIDTH:
-                raise DSEError(
-                    f"slot {self.slots[k].name!r} exceeds the LUT limit"
-                )
-            flat = np.concatenate(
-                [np.asarray(r.lut(), dtype=np.int64) for r in group]
-            )
-            flat.flags.writeable = False
-            self._slot_luts[k] = flat
-        return flat
-
-    def batch_tables(
-        self, configs
-    ) -> Optional[Dict[str, Tuple[np.ndarray, np.ndarray, int, int]]]:
-        """Per-op gather tables for a configuration batch.
-
-        Maps every slot's op name to ``(flat_lut, rows, width, mask)``
-        as consumed by
-        :meth:`~repro.accelerators.graph.GraphProgram.execute_batch`,
-        with ``rows`` the ``(C,)`` gene column of the batch.  Returns
-        ``None`` when any slot is too wide for exhaustive LUTs — those
-        spaces keep the per-configuration ``evaluate()`` impls.
-        """
-        if not self.lut_capable():
-            return None
-        arr = self._as_matrix(configs)
-        if np.any((arr < 0) | (arr >= self._sizes)):
-            raise DSEError("configuration gene out of range")
-        tables: Dict[str, Tuple[np.ndarray, np.ndarray, int, int]] = {}
-        for k, slot in enumerate(self.slots):
-            width = self.choices[k][0].width
-            tables[slot.name] = (
-                self.stacked_lut(k),
-                np.ascontiguousarray(arr[:, k]),
-                width,
-                bit_mask(width),
-            )
-        return tables
 
     def exact_configuration(self) -> Configuration:
         """The configuration selecting an exact circuit in every slot."""

@@ -15,8 +15,10 @@ analysis fast and scalable in four layered steps:
    single vectorised pass instead of ``runs`` re-interpretations, and
    SSIM is scored by a :class:`~repro.imaging.metrics.BatchedSsim` whose
    golden-side window statistics are precomputed once;
-3. **parallelise** — :meth:`evaluate_many` fans configuration chunks out
-   to worker processes (the analyses are independent);
+3. **parallelise** — :meth:`evaluate_many` analyses every configuration
+   on its own (simulate, score, synthesise) and, with ``workers > 1``,
+   fans configuration chunks out to worker processes (the analyses are
+   independent);
 4. **memoise** — synthesis reports are cached by the configuration's
    component-record tuple, and duplicate configurations inside one batch
    are analysed once.
@@ -29,9 +31,6 @@ differs), and hardware reports are exactly those of
 
 from __future__ import annotations
 
-import os
-import time
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,31 +48,6 @@ from repro.imaging.metrics import BatchedSsim
 from repro.library.component import ComponentRecord
 from repro.synthesis.synthesizer import SynthesisReport, synthesize
 from repro.telemetry import get_metrics, maybe_span
-
-#: Environment knob: tile size on the configuration axis of the batched
-#: pass (default: auto-derived from array bytes, see ``config_tile``).
-CONFIG_TILE_ENV = "REPRO_CONFIG_TILE"
-
-#: Environment knob: set to 1 to disable the configuration-axis batched
-#: pass and keep the classic per-configuration loop.
-NO_CONFIG_BATCH_ENV = "REPRO_NO_CONFIG_BATCH"
-
-#: Peak working-set budget of one configuration tile.  One config's
-#: pass holds a few live int64 register batches plus the float64 SSIM
-#: temporaries; the auto tile keeps ``tile * per_config_bytes`` under
-#: this bound so peak RSS stays flat however many configs a generation
-#: carries.
-_CONFIG_TILE_BUDGET_BYTES = 256 * 1024 * 1024
-
-#: Estimated live arrays per configuration inside the tiled pass
-#: (int64 register batch + reshaped output + SSIM blur temporaries).
-_ARRAYS_PER_CONFIG = 12
-
-#: Conservative predicted speedup of the vectorized simulation pass
-#: over the per-configuration loop, fed to the runtime cost model (the
-#: measured win on the benchmark workload is larger; underestimating
-#: only makes the model pick vectorized less eagerly).
-_VECTORIZED_GAIN = 3.0
 
 
 @dataclass(frozen=True)
@@ -138,11 +112,6 @@ class EvaluationEngine:
         self.synth_hits = 0
         self.synth_store_hits = 0
         self.synth_misses = 0
-        # Last measured per-config simulation seconds, keyed (weakly)
-        # by the space it was probed on: repeat evaluate_many calls on
-        # the same space — the search-loop steady state — skip the
-        # per-config probe and batch *every* configuration.
-        self._probe_sim: Optional[Tuple[weakref.ref, float]] = None
 
         shapes = {img.shape for img in self.images}
         self._uniform = len(shapes) == 1
@@ -150,12 +119,6 @@ class EvaluationEngine:
             self._build_stacked()
         else:
             self._build_per_run()
-
-    def __getstate__(self):
-        # Weak references do not pickle; workers re-probe on first use.
-        state = self.__dict__.copy()
-        state["_probe_sim"] = None
-        return state
 
     # -- construction helpers -------------------------------------------------
 
@@ -312,17 +275,11 @@ class EvaluationEngine:
     ) -> List[EvaluationResult]:
         """Full analysis of a batch of configurations.
 
-        Duplicates are analysed once.  When every slot of ``space`` is
-        LUT-capable the unique configurations are simulated in one
-        configuration-axis batched pass (see
-        :meth:`~repro.accelerators.graph.GraphProgram.execute_batch`),
-        tiled on the config axis to bound peak memory; synthesis stays
-        per-configuration behind the memo.  The runtime cost model
-        picks between that vectorized pass, chunking across the process
-        pool (``workers > 1``) and the plain serial loop — all three
-        produce bit-identical results.  ``REPRO_NO_CONFIG_BATCH=1``
-        forces the classic loop, as do capture-style per-run engines
-        (heterogeneous image shapes) and non-LUT implementations.
+        Duplicates are analysed once.  Every unique configuration gets
+        its own :meth:`evaluate`: in-process, or — with ``workers > 1``
+        — in contiguous chunks on the shared process pool, where the
+        runtime cost model may still keep the batch serial.  Both paths
+        produce bit-identical results.
         """
         configs = [tuple(c) for c in configs]
         unique: Dict[Configuration, int] = {}
@@ -342,208 +299,17 @@ class EvaluationEngine:
             "engine.evaluate_many", cat="engine",
             args={"configs": len(configs), "unique": len(ordered)},
         ):
-            results = self._evaluate_unique(space, ordered, workers)
+            if workers is None or len(ordered) < 2:
+                results = [self.evaluate(space, c) for c in ordered]
+            else:
+                results = self._evaluate_parallel(space, ordered, workers)
         return [results[unique[c]] for c in configs]
-
-    def _evaluate_unique(
-        self,
-        space: ConfigurationSpace,
-        ordered: List[Configuration],
-        workers: Optional[int],
-    ) -> List[EvaluationResult]:
-        tables = self._batch_tables(space, ordered)
-        if tables is None or len(ordered) < 2:
-            # Classic path: plain loop or pool, gated as before.
-            if workers is None or workers <= 1 or len(ordered) < 2:
-                return [self.evaluate(space, c) for c in ordered]
-            return self._evaluate_parallel(space, ordered, workers)
-
-        runtime = get_runtime()
-        cached_sim = None
-        if self._probe_sim is not None and self._probe_sim[0]() is space:
-            cached_sim = self._probe_sim[1]
-
-        if cached_sim is not None:
-            # Warm engine: the simulation cost was measured by an
-            # earlier probe on this space, so no configuration needs
-            # the per-config path — synthesis of the first config is
-            # timed (it is needed in every mode and usually a memo
-            # hit) and the whole batch rides the chosen mode.
-            start = time.perf_counter()
-            self.hardware(space.records(ordered[0]))
-            synth_seconds = time.perf_counter() - start
-            est_vectorized = len(ordered) * (
-                synth_seconds + cached_sim / _VECTORIZED_GAIN
-            )
-            decision = runtime.decide(
-                "evaluate_many",
-                n_tasks=len(ordered),
-                workers=workers,
-                probe_seconds=cached_sim + synth_seconds,
-                vectorized_seconds=est_vectorized,
-                context=(self, space),
-            )
-            if decision.mode == "vectorized":
-                return self._evaluate_vectorized(space, ordered, tables)
-            if decision.mode == "parallel":
-                return self._evaluate_parallel(
-                    space, ordered, workers,
-                    probe_seconds=cached_sim + synth_seconds,
-                )
-            return [self.evaluate(space, c) for c in ordered]
-
-        # Probe the first configuration per-config, split-timing the
-        # simulation and synthesis halves: synthesis stays serial under
-        # the vectorized pass, only the simulation half is amortised.
-        start = time.perf_counter()
-        impls = space.assignment_callables(ordered[0])
-        quality = self.qor(impls)
-        sim_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        rep = self.hardware(space.records(ordered[0]))
-        synth_seconds = time.perf_counter() - start
-        get_metrics().inc("engine.evaluations")
-        self._probe_sim = (weakref.ref(space), sim_seconds)
-        first = EvaluationResult(
-            qor=quality, area=rep.area, delay=rep.delay, power=rep.power
-        )
-        rest = ordered[1:]
-        est_vectorized = len(rest) * (
-            synth_seconds + sim_seconds / _VECTORIZED_GAIN
-        )
-        decision = runtime.decide(
-            "evaluate_many",
-            n_tasks=len(ordered),
-            workers=workers,
-            probe_seconds=sim_seconds + synth_seconds,
-            vectorized_seconds=est_vectorized,
-            context=(self, space),
-        )
-        if decision.mode == "vectorized":
-            return [first] + self._evaluate_vectorized(
-                space, rest, self._slice_tables(tables, 1)
-            )
-        if decision.mode == "parallel":
-            # The pre-probe already measured this batch: skip the
-            # pool's own in-process probe so the parent pays exactly
-            # one synthesis per cold batch.
-            return [first] + self._evaluate_parallel(
-                space, rest, workers,
-                probe_seconds=sim_seconds + synth_seconds,
-            )
-        return [first] + [self.evaluate(space, c) for c in rest]
-
-    # -- configuration-axis batched path --------------------------------------
-
-    def _batch_tables(self, space: ConfigurationSpace, configs):
-        """Per-op gather tables in program order, or ``None`` to fall back.
-
-        ``None`` (classic per-config loop) for per-run engines
-        (heterogeneous image shapes), under ``REPRO_NO_CONFIG_BATCH``,
-        and for spaces with non-LUT (wide) implementations.
-        """
-        if not self._uniform or not configs:
-            return None
-        if os.environ.get(NO_CONFIG_BATCH_ENV, "").strip() not in (
-            "", "0", "false",
-        ):
-            return None
-        by_op = space.batch_tables(configs)
-        if by_op is None:
-            return None
-        return [by_op.get(name) for name in self._program.op_names]
-
-    @staticmethod
-    def _slice_tables(tables, start: int, stop: Optional[int] = None):
-        """Restrict every table's config rows to ``[start:stop]``."""
-        return [
-            entry
-            if entry is None
-            else (entry[0], entry[1][start:stop], entry[2], entry[3])
-            for entry in tables
-        ]
-
-    def config_tile(self, n_configs: int) -> int:
-        """Tile size on the config axis (``REPRO_CONFIG_TILE`` or auto).
-
-        The auto tile bounds the live working set —
-        ``tile * run_elements * 8 bytes * ~12 arrays`` — to ~256 MiB,
-        so batching 128 configurations does not cost 128x the memory of
-        one.  Tiling only changes how many configs share one pass;
-        every tile size produces byte-identical results.
-        """
-        raw = os.environ.get(CONFIG_TILE_ENV)
-        if raw is not None:
-            from repro.utils.validation import check_env_int
-
-            return min(
-                check_env_int(raw, CONFIG_TILE_ENV, minimum=1),
-                max(n_configs, 1),
-            )
-        elements = 1
-        for dim in self._run_shape:
-            elements *= int(dim)
-        per_config = max(elements * 8 * _ARRAYS_PER_CONFIG, 1)
-        tile = max(1, _CONFIG_TILE_BUDGET_BYTES // per_config)
-        return min(tile, max(n_configs, 1))
-
-    def qor_batch(self, tables, n_configs: int) -> np.ndarray:
-        """Mean SSIM of ``n_configs`` configurations in tiled passes.
-
-        Entry ``c`` equals ``qor(assignment_c)`` bit-for-bit: the
-        batched program pass gathers the same LUT entries, the
-        config-axis SSIM runs the same Gaussian windows and ufunc
-        chain, and the per-config mean reduces the same contiguous
-        per-run score rows.
-        """
-        metrics = get_metrics()
-        metrics.inc("engine.config_batches")
-        tile = self.config_tile(n_configs)
-        scores = np.empty(n_configs, dtype=np.float64)
-        for lo in range(0, n_configs, tile):
-            hi = min(lo + tile, n_configs)
-            part = self._slice_tables(tables, lo, hi)
-            raw = self._program.execute_batch(
-                self._inputs, part, assume_masked=True
-            )
-            n = hi - lo
-            shaped = np.reshape(
-                np.broadcast_to(raw, (n,) + self._batch_shape),
-                (n,) + self._run_shape,
-            )
-            scores[lo:hi] = self._ssim.batch(shaped).mean(axis=1)
-            metrics.observe("engine.config_tile", n)
-        return scores
-
-    def _evaluate_vectorized(
-        self,
-        space: ConfigurationSpace,
-        configs: List[Configuration],
-        tables,
-    ) -> List[EvaluationResult]:
-        """Batched simulation + per-config (memoised) synthesis."""
-        qors = self.qor_batch(tables, len(configs))
-        metrics = get_metrics()
-        results = []
-        for config, quality in zip(configs, qors):
-            metrics.inc("engine.evaluations")
-            rep = self.hardware(space.records(config))
-            results.append(
-                EvaluationResult(
-                    qor=float(quality),
-                    area=rep.area,
-                    delay=rep.delay,
-                    power=rep.power,
-                )
-            )
-        return results
 
     def _evaluate_parallel(
         self,
         space: ConfigurationSpace,
         configs: List[Configuration],
         workers: int,
-        probe_seconds: Optional[float] = None,
     ) -> List[EvaluationResult]:
         workers = min(workers, len(configs))
         # Contiguous chunks, a few per worker so stragglers even out.
@@ -559,13 +325,6 @@ class EvaluationEngine:
             context=(self, space),
             workers=workers,
             label="evaluate_many",
-            # Per-config pre-probe (when the caller ran one), scaled to
-            # the runtime's per-task unit: one chunk.
-            probe_seconds=(
-                None
-                if probe_seconds is None
-                else probe_seconds * len(chunks[0])
-            ),
         )
         flat: List[EvaluationResult] = []
         for part, memo_updates in chunk_results:

@@ -9,10 +9,9 @@ The implementation lives in :mod:`repro.core.engine`:
 :class:`AcceleratorEvaluator` is the historical name of (and a drop-in
 alias for) :class:`~repro.core.engine.EvaluationEngine`, which compiles
 the accelerator graph, batches all (image x scenario) runs into one
-vectorised pass, memoises synthesis, and analyses whole configuration
-batches in one configuration-axis compiled pass (``evaluate_many``
-stacks the per-config LUTs and lets the runtime cost model pick between
-that vectorized pass, a process pool, and the serial loop — all
+vectorised pass, memoises synthesis, and analyses configuration batches
+one configuration at a time (``evaluate_many`` runs the serial loop or,
+when the runtime cost model says it pays, process-pool chunks — both
 bit-identical).
 """
 

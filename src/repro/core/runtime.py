@@ -107,11 +107,6 @@ _IPC_PER_TASK = 0.002
 #: Required predicted advantage before parallel is chosen.
 _PARALLEL_MARGIN = 0.9
 
-#: The vectorized in-process pass carries none of the pool's
-#: fork/publish/IPC overhead, so it pays off far below the parallel
-#: threshold; it is considered from this fraction of it.
-_VECTORIZED_THRESHOLD_FRACTION = 0.1
-
 
 # ---------------------------------------------------------------------------
 # Worker-count validation (the one shared copy; re-exported by
@@ -311,12 +306,11 @@ class RunDecision:
     n_tasks: int
     requested_workers: Optional[int]
     effective_workers: int
-    mode: str  # "serial" | "parallel" | "vectorized"
+    mode: str  # "serial" | "parallel"
     reason: str
     probe_seconds: float = 0.0
     est_serial_seconds: float = 0.0
     est_parallel_seconds: float = 0.0
-    est_vectorized_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -329,9 +323,6 @@ class RunDecision:
             "probe_seconds": round(self.probe_seconds, 6),
             "est_serial_seconds": round(self.est_serial_seconds, 6),
             "est_parallel_seconds": round(self.est_parallel_seconds, 6),
-            "est_vectorized_seconds": round(
-                self.est_vectorized_seconds, 6
-            ),
         }
 
 
@@ -363,7 +354,6 @@ class ParallelRuntime:
         self.stats: Dict[str, int] = {
             "serial_batches": 0,
             "parallel_batches": 0,
-            "vectorized_batches": 0,
             "contexts_published": 0,
             "context_cache_hits": 0,
             "segments_created": 0,
@@ -589,135 +579,6 @@ class ParallelRuntime:
         metrics.inc(f"runtime.decision.{d.reason}")
         return d
 
-    def decide(
-        self,
-        label: str,
-        n_tasks: int,
-        workers: Optional[int],
-        probe_seconds: float,
-        vectorized_seconds: Optional[float] = None,
-        context=None,
-    ) -> RunDecision:
-        """Cost-model decision for a caller-managed batch.
-
-        For callers that own an execution path :meth:`map` cannot run —
-        the evaluation engine's configuration-axis batched pass — and
-        therefore probe their first task themselves.  ``probe_seconds``
-        is the measured per-task serial cost; ``vectorized_seconds``,
-        when given, is the caller's estimate for finishing the
-        *remaining* ``n_tasks - 1`` tasks in one vectorized in-process
-        pass and enables the three-way serial / parallel / vectorized
-        choice.  ``context`` is only used to check whether a parallel
-        run would still need to publish its stage context.  The caller
-        must execute the returned :attr:`RunDecision.mode` itself.
-        """
-        with self._lock:
-            context_cached = context is None or (
-                self._context_key(context) in self._ctx_cache
-            )
-        if vectorized_seconds is None:
-            return self._decide(
-                label, n_tasks, workers, context_cached, probe_seconds
-            )
-        return self._decide_hybrid(
-            label, n_tasks, workers, context_cached, probe_seconds,
-            vectorized_seconds,
-        )
-
-    def _decide_hybrid(
-        self,
-        label: str,
-        n_tasks: int,
-        requested: Optional[int],
-        context_cached: bool,
-        probe_seconds: float,
-        vectorized_seconds: float,
-    ) -> RunDecision:
-        """Three-way choice: serial loop, process pool, vectorized pass.
-
-        The vectorized pass runs in-process, so it is available even
-        where the pool is not (``workers <= 1``, single core, nested in
-        a worker, ``REPRO_PARALLEL=never``); it needs the same predicted
-        margin over serial as the pool does, and wins ties against the
-        pool because it carries no fork/publish/IPC risk.
-        ``REPRO_PARALLEL=always`` still forces the pool — it is an
-        explicit operator override.
-        """
-        mode = self._parallel_mode()
-        cores = usable_cores()
-        workers = requested or 0
-        effective = max(1, min(workers, cores, n_tasks))
-        est_serial = probe_seconds * max(n_tasks - 1, 0)
-        est_vector = vectorized_seconds
-
-        def decision(run_mode: str, reason: str, est_p: float = 0.0):
-            return self._record(
-                RunDecision(
-                    label=label,
-                    n_tasks=n_tasks,
-                    requested_workers=requested,
-                    effective_workers=(
-                        effective if run_mode == "parallel" else 1
-                    ),
-                    mode=run_mode,
-                    reason=reason,
-                    probe_seconds=probe_seconds,
-                    est_serial_seconds=est_serial,
-                    est_parallel_seconds=est_p,
-                    est_vectorized_seconds=est_vector,
-                )
-            )
-
-        vector_floor = (
-            self.threshold_seconds() * _VECTORIZED_THRESHOLD_FRACTION
-        )
-
-        def no_pool(reason: str):
-            if (
-                est_serial >= vector_floor
-                and est_vector < est_serial * _PARALLEL_MARGIN
-            ):
-                return decision("vectorized", reason)
-            return decision("serial", reason)
-
-        if n_tasks < 2:
-            return decision("serial", "single-task")
-        if _IN_WORKER:
-            return no_pool("nested-in-worker")
-        if mode == "always" and workers > 1:
-            return decision("parallel", "REPRO_PARALLEL=always")
-        if not workers or workers <= 1:
-            return no_pool("workers<=1")
-        if mode == "never":
-            return no_pool("REPRO_PARALLEL=never")
-        if cores < 2:
-            return no_pool("single-core")
-
-        overhead = _IPC_PER_TASK * (n_tasks - 1)
-        if self._executor is None or self._executor_size != effective:
-            per_worker = (
-                _SPAWN_STARTUP_PER_WORKER
-                if self._start_method == "spawn"
-                else _FORK_STARTUP_PER_WORKER
-            )
-            overhead += per_worker * effective
-        if not context_cached:
-            overhead += _PUBLISH_SECONDS
-        est_parallel = overhead + est_serial / effective
-
-        if est_serial < self.threshold_seconds():
-            # Too small to justify the pool — but the overhead-free
-            # vectorized pass may still pay above its own lower floor.
-            return no_pool("below-threshold")
-        if (
-            est_vector < est_serial * _PARALLEL_MARGIN
-            and est_vector <= est_parallel
-        ):
-            return decision("vectorized", "cost-model", est_parallel)
-        if est_parallel < est_serial * _PARALLEL_MARGIN:
-            return decision("parallel", "cost-model", est_parallel)
-        return decision("serial", "overhead-dominates", est_parallel)
-
     def _decide(
         self,
         label: str,
@@ -796,7 +657,6 @@ class ParallelRuntime:
         context=None,
         workers: Optional[int] = None,
         label: str = "",
-        probe_seconds: Optional[float] = None,
     ) -> Iterator:
         """Apply ``fn(context, task)`` to every task, yielding in order.
 
@@ -804,10 +664,6 @@ class ParallelRuntime:
         task order.  The first task is probed in-process to feed the
         cost model, then the batch either stays serial or fans out over
         the persistent pool — the results are identical either way.
-        Callers that already measured a representative task (the
-        engine's ``evaluate_many`` pre-probe) pass ``probe_seconds`` to
-        skip the in-process probe; every task then rides the decided
-        mode.
         """
         tasks = list(tasks)
         if workers is None:
@@ -822,7 +678,7 @@ class ParallelRuntime:
         tracer = current_tracer()
         if tracer is None:
             yield from self._run_batch(
-                fn, tasks, context, workers, label, None, probe_seconds
+                fn, tasks, context, workers, label, None
             )
             return
         with tracer.span(
@@ -833,26 +689,17 @@ class ParallelRuntime:
                 tracer.trace_id, batch_span.id, f"task:{label}"
             )
             yield from self._run_batch(
-                fn, tasks, context, workers, label, trace_ctx,
-                probe_seconds,
+                fn, tasks, context, workers, label, trace_ctx
             )
 
     def _run_batch(
-        self, fn, tasks, context, workers, label, trace_ctx,
-        probe_seconds=None,
+        self, fn, tasks, context, workers, label, trace_ctx
     ) -> Iterator:
-        # Probe: run the first task in-process on the live context —
-        # unless the caller measured a representative task itself.
-        pre_probed = probe_seconds is not None
-        if pre_probed:
-            rest = tasks
-        else:
-            start = time.perf_counter()
-            first = fn(context, tasks[0])
-            probe_seconds = time.perf_counter() - start
-            get_metrics().observe(
-                "runtime.probe_seconds", probe_seconds
-            )
+        # Probe: run the first task in-process on the live context.
+        start = time.perf_counter()
+        first = fn(context, tasks[0])
+        probe_seconds = time.perf_counter() - start
+        get_metrics().observe("runtime.probe_seconds", probe_seconds)
 
         key = self._context_key(context) if context is not None else None
         context_cached = (
@@ -861,9 +708,8 @@ class ParallelRuntime:
         decision = self._decide(
             label, len(tasks), workers, context_cached, probe_seconds
         )
-        if not pre_probed:
-            yield first
-            rest = tasks[1:]
+        yield first
+        rest = tasks[1:]
         if not rest:
             return
         if decision.mode == "serial":
@@ -881,12 +727,11 @@ class ParallelRuntime:
         context=None,
         workers: Optional[int] = None,
         label: str = "",
-        probe_seconds: Optional[float] = None,
     ) -> List:
         """:meth:`imap`, collected into a list."""
         return list(
             self.imap(fn, tasks, context=context, workers=workers,
-                      label=label, probe_seconds=probe_seconds)
+                      label=label)
         )
 
     def _run_parallel(

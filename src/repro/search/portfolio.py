@@ -102,15 +102,15 @@ def analyze_front(
     engine,
     workers: Optional[int] = None,
 ) -> List[Dict]:
-    """Exact analysis of a merged front in one batched engine pass.
+    """Exact analysis of a merged front in one engine call.
 
     Search fronts carry *model-estimated* objectives; before acting on
     one (writing a report, picking a deployment point) the front should
     be re-measured with the real evaluation path.  This helper funnels
     every front configuration through a single
     :meth:`~repro.core.engine.EvaluationEngine.evaluate_many` call — so
-    the whole front rides one configuration-axis batched pass instead
-    of a per-config loop — and returns, per configuration, the model
+    duplicates are analysed once and ``workers`` can spread the front
+    over the process pool — and returns, per configuration, the model
     estimates next to the measured values:
 
     ``[{"config", "estimated_qor", "estimated_cost", "qor", "area",

@@ -1,20 +1,17 @@
-"""Property layer: configuration-axis batched execution == per-config loop.
+"""Property layer: ``GraphProgram.execute_batch`` == the per-config loop.
 
-``GraphProgram.execute_batch`` stacks the per-configuration LUTs of every
-approximate op and evaluates all ``C`` configurations in one
-gather-per-step pass.  Its contract is byte-identity: row ``c`` of the
-batched output must equal ``execute(inputs, assignment_c)`` exactly, for
-every well-formed graph, table mix (some ops exact for all configs),
-input shape regime, and executor flavour (fused and classic).  This
+``GraphProgram.execute_batch`` takes the per-configuration LUT tables of
+every approximate op and evaluates all ``C`` configurations.  Its
+contract is byte-identity: row ``c`` of the batched output must equal
+``execute(inputs, assignment_c)`` exactly, for every well-formed graph,
+table mix (some ops exact for all configs) and input shape regime.  This
 module checks that on ~100 random dataflow DAGs with random config
-batches, plus the ``REPRO_NO_CONFIG_BATCH`` engine fallback knob.
+batches.
 """
 
 import numpy as np
 import pytest
 
-from repro.accelerators.graph import NO_FUSION_ENV
-from repro.core.engine import NO_CONFIG_BATCH_ENV
 from repro.utils.bitops import bit_mask
 
 from tests.accelerators.test_property_random_graphs import (
@@ -96,24 +93,6 @@ def test_execute_batch_matches_per_config(regime):
         assert_rows_equal(batched, inputs, assignments, program, g)
 
 
-def test_execute_batch_fused_and_classic_identical(monkeypatch):
-    """The per-config reference is executor-independent, so the batch
-    matches both the fused and the classic per-config paths."""
-    rng = np.random.default_rng(99)
-    for _ in range(10):
-        g = random_graph(rng)
-        program = g.compile()
-        inputs = random_inputs(rng, g, "batch")
-        tables, assignments = random_tables(rng, g, program, 4)
-        batched = program.execute_batch(inputs, tables)
-        for no_fusion in ("", "1"):
-            if no_fusion:
-                monkeypatch.setenv(NO_FUSION_ENV, no_fusion)
-            else:
-                monkeypatch.delenv(NO_FUSION_ENV, raising=False)
-            assert_rows_equal(batched, inputs, assignments, program, g)
-
-
 def test_execute_batch_masks_inputs_unless_assume_masked():
     rng = np.random.default_rng(5)
     g = random_graph(rng)
@@ -142,15 +121,3 @@ def test_execute_batch_rejects_misaligned_tables():
         program.execute_batch(
             inputs, [None] * (len(program.op_names) + 1)
         )
-
-
-def test_no_config_batch_env_forces_classic_loop(
-    monkeypatch, sobel_space, sobel_evaluator
-):
-    """The fallback knob and the batched path agree exactly."""
-    configs = sobel_space.random_configurations(6, rng=21)
-    monkeypatch.setenv(NO_CONFIG_BATCH_ENV, "1")
-    classic = sobel_evaluator.evaluate_many(sobel_space, configs)
-    monkeypatch.delenv(NO_CONFIG_BATCH_ENV)
-    batched = sobel_evaluator.evaluate_many(sobel_space, configs)
-    assert batched == classic

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,25 @@ class TestRealisation:
             assert np.array_equal(
                 impl(a, b), rec.circuit.evaluate(a, b)
             )
+
+    def test_assignment_callables_memoised(self, sobel_space):
+        config = sobel_space.random_configuration(rng=3)
+        first = sobel_space.assignment_callables(config)
+        second = sobel_space.assignment_callables(config)
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name] is second[name]
+
+    def test_pickle_drops_impl_memo(self, sobel_space, rng):
+        config = sobel_space.random_configuration(rng=9)
+        impls = sobel_space.assignment_callables(config)
+        clone = pickle.loads(pickle.dumps(sobel_space))
+        assert clone._impl_memo == {}
+        # The memo rebuilds to equivalent impls on first use.
+        a = rng.integers(0, 256, 50)
+        b = rng.integers(0, 256, 50)
+        for name, impl in clone.assignment_callables(config).items():
+            assert np.array_equal(impl(a, b), impls[name](a, b))
 
     def test_enumerate_all_small_space(self, sobel, tiny_library,
                                        sobel_profiles):

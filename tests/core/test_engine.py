@@ -1,11 +1,30 @@
 """EvaluationEngine: batched QoR, synthesis memo, dedupe, parallelism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import runtime as rt
 from repro.core.engine import EvaluationEngine, default_workers
 from repro.core.evaluation import AcceleratorEvaluator
+from repro.core.runtime import get_runtime, reset_runtime
+from repro.imaging.datasets import benchmark_images
 from repro.imaging.metrics import ssim
+
+
+@pytest.fixture()
+def fresh_runtime():
+    reset_runtime()
+    yield get_runtime()
+    reset_runtime()
+
+
+def some_configs(space, n=6, rng=17):
+    configs = space.random_configurations(n, rng=rng)
+    # Duplicates ride along: evaluate_many analyses them once but must
+    # still report them at their original positions.
+    return list(configs) + list(configs[:2])
 
 
 class TestBatchedQor:
@@ -141,6 +160,52 @@ class TestEvaluateMany:
             assert engine.synth_misses == 1
         finally:
             reset_runtime()
+
+    def test_serial_and_pool_identical(
+        self, sobel_space, sobel_evaluator, monkeypatch, fresh_runtime
+    ):
+        configs = some_configs(sobel_space)
+        serial = sobel_evaluator.evaluate_many(sobel_space, configs)
+        # Force the pool even on a single-core host: ``always`` is the
+        # operator override the cost model never second-guesses.
+        monkeypatch.setenv(rt.PARALLEL_MODE_ENV, "always")
+        pooled = sobel_evaluator.evaluate_many(
+            sobel_space, configs, workers=2
+        )
+        assert pooled == serial
+        assert fresh_runtime.last_decision.mode == "parallel"
+
+    def test_duplicates_share_one_analysis(
+        self, sobel_space, sobel_evaluator
+    ):
+        configs = some_configs(sobel_space)
+        results = sobel_evaluator.evaluate_many(sobel_space, configs)
+        assert len(results) == len(configs)
+        for i, config in enumerate(configs):
+            assert results[i] == results[configs.index(config)]
+
+    def test_memory_flat_in_batch_size(self, sobel, sobel_space):
+        """Each configuration is analysed on its own, so the traced
+        allocation peak of a batch does not grow with its size."""
+        engine = EvaluationEngine(
+            sobel, benchmark_images(2, shape=(32, 48))
+        )
+        configs = sobel_space.random_configurations(32, rng=71)
+        # Warm the synthesis memo and the impl memo: the peaks below
+        # measure simulation + scoring, not one-time characterisation.
+        engine.evaluate_many(sobel_space, configs)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                engine.evaluate_many(sobel_space, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(configs[:2])
+        large = peak(configs)
+        assert large <= 1.5 * small, (small, large)
 
     def test_matches_single_evaluate(self, sobel_space,
                                      sobel_evaluator):

@@ -134,3 +134,20 @@ class TestBatchedSsim:
         reference, _ = stacks
         with pytest.raises(ValueError):
             BatchedSsim(reference, data_range=0.0)
+
+    def test_batch_rows_match_per_slice_call(self, rng):
+        ref = rng.uniform(0.0, 255.0, size=(3, 17, 23))
+        ssim_ref = BatchedSsim(ref)
+        test = rng.uniform(0.0, 255.0, size=(5, 3, 17, 23))
+        batch = ssim_ref.batch(test)
+        assert batch.shape == (5, 3)
+        for c in range(5):
+            assert np.array_equal(batch[c], ssim_ref(test[c]))
+
+    def test_batch_rejects_wrong_rank_or_shape(self, rng):
+        ref = rng.uniform(0.0, 255.0, size=(2, 8, 8))
+        ssim_ref = BatchedSsim(ref)
+        with pytest.raises(ValueError):
+            ssim_ref.batch(rng.uniform(0.0, 255.0, size=(2, 8, 8)))
+        with pytest.raises(ValueError):
+            ssim_ref.batch(rng.uniform(0.0, 255.0, size=(4, 2, 8, 9)))

@@ -63,6 +63,44 @@ class TestParser:
             assert "--workers" in err
             assert "worker count" in err or ">= 0" in err
 
+    @pytest.mark.parametrize(
+        "command,option,value,minimum",
+        [
+            (["workloads", "run", "sobel"], "--images", "0", 1),
+            (["workloads", "run", "sobel"], "--evals", "0", 1),
+            (["workloads", "run", "sobel"], "--train", "1", 2),
+            (["run"], "--images", "-1", 1),
+            (["run"], "--evals", "0", 1),
+            (["run"], "--train", "0", 2),
+            (["search", "--workload", "sobel"], "--images", "0", 1),
+            (["search"], "--train", "1", 2),
+            (["profile"], "--images", "0", 1),
+        ],
+    )
+    def test_counts_below_minimum_are_usage_errors(
+        self, command, option, value, minimum, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be >= {minimum}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--images", "--evals", "--train"])
+    def test_counts_reject_non_integers(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["workloads", "run", "sobel", option, "many"])
+        assert exc.value.code == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+    def test_counts_at_minimum_parse(self):
+        args = build_parser().parse_args(
+            ["workloads", "run", "sobel", "--images", "1", "--evals",
+             "1", "--train", "2"]
+        )
+        assert (args.images, args.evals, args.train) == (1, 1, 2)
+
 
 class TestCommands:
     def test_inventory(self, capsys):

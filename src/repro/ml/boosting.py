@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import Regressor
-from repro.ml.trees import DecisionTreeRegressor
+from repro.ml.trees import DecisionTreeRegressor, check_tree_params
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
@@ -24,6 +24,7 @@ class GradientBoostingRegressor(Regressor):
             raise ValueError("n_estimators must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
+        check_tree_params(max_depth)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -66,6 +67,7 @@ class AdaBoostRegressor(Regressor):
         super().__init__()
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        check_tree_params(max_depth)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.rng = rng

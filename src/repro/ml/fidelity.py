@@ -44,6 +44,8 @@ def fidelity(
     n = y_true.size
     if n < 2:
         raise ValueError("fidelity needs at least two samples")
+    if max_pairs < 1:
+        raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
 
     if n <= _EXHAUSTIVE_LIMIT:
         i, j = np.triu_indices(n, k=1)

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ml.base import Regressor
-from repro.ml.trees import DecisionTreeRegressor
+from repro.ml.trees import DecisionTreeRegressor, check_tree_params
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
@@ -29,6 +29,11 @@ class RandomForestRegressor(Regressor):
         super().__init__()
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        check_tree_params(
+            max_depth,
+            min_samples_leaf=min_samples_leaf,
+            max_features=max_features,
+        )
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

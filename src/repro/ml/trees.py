@@ -3,6 +3,22 @@
 Standard variance-reduction splitting with optional feature subsampling
 (used by the ensemble engines).  The fitted tree is stored in flat arrays
 so prediction is a vectorised level-by-level descent.
+
+The split search (:func:`_best_split`) scores every candidate feature of
+a node in one numpy pass: a stable per-column argsort, column-wise prefix
+sums of ``y`` and ``y**2``, and the SSE of every cut point at once.  It
+is bit-identical to scanning the features one at a time, so fitted trees
+do not depend on it:
+
+* a column-wise ``cumsum`` performs the same sequential additions as a
+  1-D one, and a stable argsort gives each column the same order;
+* ``argmin``/``argmax`` return the first extremum, which reproduces the
+  scan's rule: keep the first feature with a valid split and replace it
+  only on a strictly greater gain.
+
+``tests/ml/test_split_oracle.py`` keeps the per-feature scan as the
+oracle, and ``tests/golden/golden_trees.json`` pins the fitted trees of
+the registry's tree engines.
 """
 
 from __future__ import annotations
@@ -42,39 +58,62 @@ class _TreeArrays:
 
 
 def _best_split(X, y, features, min_samples_leaf):
-    """Best (feature, threshold, sse_gain) over the candidate features."""
+    """Best (feature, threshold, sse_gain) over the candidate features.
+
+    All candidate columns are scanned in one pass over the node's
+    ``(m, F)`` block; ``(None, 0.0, 0.0)`` when no column can split.
+    """
     n = y.size
     total_sum = y.sum()
     total_sq = float(y @ y)
     base_sse = total_sq - total_sum**2 / n
-    best = (None, 0.0, 0.0)
-    for j in features:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)[:-1]
-        csq = np.cumsum(ys * ys)[:-1]
-        left_n = np.arange(1, n)
-        right_n = n - left_n
-        sse = (
-            (csq - csum**2 / left_n)
-            + (total_sq - csq)
-            - (total_sum - csum) ** 2 / right_n
+    block = X[:, features]
+    order = block.argsort(axis=0, kind="stable")
+    xs = block[order, np.arange(block.shape[1])]
+    ys = y[order]
+    csum = ys.cumsum(axis=0)[:-1]
+    csq = (ys * ys).cumsum(axis=0)[:-1]
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    sse = (
+        (csq - csum**2 / left_n)
+        + (total_sq - csq)
+        - (total_sum - csum) ** 2 / right_n
+    )
+    invalid = xs[1:] == xs[:-1]
+    if min_samples_leaf > 1:
+        invalid |= (left_n < min_samples_leaf) | (
+            right_n < min_samples_leaf
         )
-        valid = xs[1:] != xs[:-1]
-        if min_samples_leaf > 1:
-            valid &= (left_n >= min_samples_leaf) & (
-                right_n >= min_samples_leaf
-            )
-        if not np.any(valid):
-            continue
-        sse = np.where(valid, sse, np.inf)
-        k = int(np.argmin(sse))
-        gain = base_sse - float(sse[k])
-        if best[0] is None or gain > best[2]:
-            threshold = 0.5 * (xs[k] + xs[k + 1])
-            best = (j, threshold, gain)
-    return best
+    sse[invalid] = np.inf
+    # a column without a valid split has gain -inf and never wins
+    gain = base_sse - sse.min(axis=0)
+    c = int(np.argmax(gain))
+    if gain[c] == -np.inf:
+        return None, 0.0, 0.0
+    k = int(np.argmin(sse[:, c]))
+    return features[c], 0.5 * (xs[k, c] + xs[k + 1, c]), gain[c]
+
+
+def check_tree_params(
+    max_depth: Optional[int] = None,
+    min_samples_split: int = 2,
+    min_samples_leaf: int = 1,
+    max_features: Optional[float] = None,
+) -> None:
+    """Reject CART hyperparameters no tree can be grown with.
+
+    Shared by the ensembles so they fail at construction, not inside
+    the first tree's ``fit``.
+    """
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if min_samples_split < 2:
+        raise ValueError("min_samples_split must be >= 2")
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
+    if max_features is not None and not 0.0 < max_features <= 1.0:
+        raise ValueError("max_features must be in (0, 1]")
 
 
 class DecisionTreeRegressor(Regressor):
@@ -89,14 +128,9 @@ class DecisionTreeRegressor(Regressor):
         rng: RngLike = 0,
     ):
         super().__init__()
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if max_features is not None and not 0.0 < max_features <= 1.0:
-            raise ValueError("max_features must be in (0, 1]")
+        check_tree_params(
+            max_depth, min_samples_split, min_samples_leaf, max_features
+        )
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -115,7 +149,8 @@ class DecisionTreeRegressor(Regressor):
 
         def grow(idx: np.ndarray, depth: int) -> int:
             ys = y[idx]
-            node = tree.new_node(float(ys.mean()))
+            # ys.mean()'s sum and division, without its dispatch overhead
+            node = tree.new_node(float(ys.sum() / ys.size))
             if (
                 idx.size < self.min_samples_split
                 or (self.max_depth is not None and depth >= self.max_depth)

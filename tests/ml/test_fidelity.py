@@ -39,6 +39,12 @@ class TestFidelity:
         sampled = fidelity(y, pred, max_pairs=300_000, rng=1)
         assert sampled == pytest.approx(exact_small, abs=0.02)
 
+    @pytest.mark.parametrize("n", [10, 5000])
+    def test_rejects_non_positive_max_pairs(self, n):
+        y = np.arange(float(n))
+        with pytest.raises(ValueError, match="max_pairs must be >= 1"):
+            fidelity(y, y, max_pairs=0)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             fidelity(np.zeros(3), np.zeros(4))

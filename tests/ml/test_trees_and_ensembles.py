@@ -101,6 +101,16 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_features": 2.0}, "max_features must be in"),
+        ({"max_features": 0.0}, "max_features must be in"),
+        ({"min_samples_leaf": 0}, "min_samples_leaf must be >= 1"),
+        ({"max_depth": 0}, "max_depth must be >= 1"),
+    ])
+    def test_invalid_tree_params_fail_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RandomForestRegressor(**kwargs)
+
 
 class TestGradientBoosting:
     def test_improves_over_iterations(self, step_data):
@@ -122,6 +132,10 @@ class TestGradientBoosting:
         with pytest.raises(ValueError):
             GradientBoostingRegressor(learning_rate=0.0)
 
+    def test_invalid_max_depth_fails_at_construction(self):
+        with pytest.raises(ValueError, match="max_depth must be >= 1"):
+            GradientBoostingRegressor(max_depth=0)
+
 
 class TestAdaBoost:
     def test_fits_step_function(self, step_data):
@@ -141,3 +155,7 @@ class TestAdaBoost:
         X, y = step_data
         model = AdaBoostRegressor(n_estimators=10, rng=0).fit(X, y)
         assert model.predict(X[:7]).shape == (7,)
+
+    def test_invalid_max_depth_fails_at_construction(self):
+        with pytest.raises(ValueError, match="max_depth must be >= 1"):
+            AdaBoostRegressor(max_depth=0)

@@ -19,14 +19,7 @@ Commands
   strategy islands (hill climber, NSGA-II, random sampling, capped
   exhaustive) over a workload's configuration space, with periodic
   front merging and (with ``--store``) per-round checkpoints that
-  ``runs resume`` continues.  ``--distributed N`` runs the islands on
-  a store-backed work queue serviced by N spawned ``search-worker``
-  processes (plus any externally started ones), with bit-identical
-  fronts for any topology.
-* ``search-worker`` — lease and execute ``search --distributed`` work
-  items from an experiment store (local path or ``http://`` URI of a
-  ``repro serve`` instance) until idle or killed; crashed workers'
-  leases expire and other workers pick the items up.
+  ``runs resume`` continues.
 * ``runs`` — the persistent experiment store's run ledger: ``list`` and
   ``show`` recorded pipeline runs, ``resume`` one against the warm
   store (including interrupted ``search`` runs), ``gc`` artifacts no
@@ -39,15 +32,17 @@ Commands
   answered from the store, and every job is metered per API key and
   recorded in the run ledger (``repro runs list --kind serve-job``).
 
-Store-aware commands accept ``--store [URI]``/``--no-store`` to enable
+Store-aware commands accept ``--store [PATH]``/``--no-store`` to enable
 the persistent stage cache (default: on when ``REPRO_STORE_DIR`` is
-set).  The optional URI selects a backend: ``sqlite:PATH`` (or a bare
-path), ``sharded:PATH?shards=N``, or ``http://host:port`` for the
-store API of a ``repro serve`` instance.  ``run``, ``workloads run``,
-``search`` and every ``runs`` command accept ``--json`` for
-machine-readable output (stable key order, ``version`` field).  With
-``--json``, stdout carries the JSON document and nothing else —
-progress and diagnostics go to stderr.
+set); the optional PATH is the store directory.  ``run``,
+``workloads run``, ``search`` and every ``runs`` command accept
+``--json`` for machine-readable output (stable key order, ``version``
+field).  With ``--json``, stdout carries the JSON document and nothing
+else — progress and diagnostics go to stderr.
+
+A deliberate library error (a :class:`~repro.errors.ReproError`: an
+unknown run id, a missing store, an invalid knob) ends the command with
+one ``error: <message>`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ import argparse
 import contextlib
 import json
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.accelerators.gaussian_fixed import FixedGaussianFilter
@@ -188,10 +182,9 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--store", nargs="?", const=True, default=None, metavar="URI",
+        "--store", nargs="?", const=True, default=None, metavar="PATH",
         help="persist/reuse pipeline stages in the experiment store; "
-             "optionally a store URI (sqlite:PATH, "
-             "sharded:PATH?shards=N, http://host:port) "
+             "optionally the store directory "
              "(default: enabled when REPRO_STORE_DIR is set)",
     )
     parser.add_argument(
@@ -210,12 +203,10 @@ def _add_accelerator_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_store(flag):
-    """Map ``--store [URI]`` / ``--no-store`` to a store (or None).
+    """Map ``--store [PATH]`` / ``--no-store`` to a store (or None).
 
     ``None`` (unset) enables the store iff ``REPRO_STORE_DIR`` is set;
-    ``True``/``False`` force it on/off; a string is a store URI
-    (``sqlite:PATH``, ``sharded:PATH?shards=N``, ``http://host:port``)
-    or plain path.
+    ``True``/``False`` force it on/off; a string is the store path.
     """
     import os
 
@@ -572,7 +563,6 @@ def _run_search(
     workers: Optional[int],
     store,
     resume_from: Optional[str] = None,
-    executor=None,
 ):
     """Fit estimation models for a workload and run the portfolio."""
     from repro.accelerators.profiler import profile_accelerator
@@ -605,7 +595,6 @@ def _run_search(
         seed=seed,
         workers=workers,
         store=store,
-        executor=executor,
         label=f"search:{workload}",
         run_params={
             "command": "search",
@@ -680,70 +669,16 @@ def _print_search_result(result, workload: str) -> None:
     )
 
 
-def _spawn_search_workers(count: int, store_uri: str):
-    """Start ``count`` detached ``repro search-worker`` processes."""
-    import os
-    import subprocess
-
-    import repro
-
-    env = dict(os.environ)
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p
-    )
-    return [
-        subprocess.Popen(
-            [sys.executable, "-m", "repro", "search-worker",
-             "--store", store_uri],
-            env=env,
-        )
-        for _ in range(count)
-    ]
-
-
-def _reap_search_workers(procs) -> None:
-    for proc in procs:
-        proc.terminate()
-    for proc in procs:
-        try:
-            proc.wait(timeout=10)
-        except Exception:
-            proc.kill()
-            proc.wait()
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     strategies = [
         s.strip() for s in args.strategies.split(",") if s.strip()
     ]
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    store = _resolve_store(args.store)
-    executor = None
-    workers = []
-    if args.distributed is not None:
-        from repro.search import DistributedExecutor
-
-        if store is None:
-            get_logger("search").error(
-                "search --distributed needs an experiment store "
-                "(--store URI or REPRO_STORE_DIR)"
-            )
-            return 2
-        executor = DistributedExecutor(label=f"search:{args.workload}")
-        if args.distributed > 0:
-            # Materialise the store (mkdir + index) before the workers
-            # probe it, or they would race the first driver write.
-            store.backend.initialize()
-            workers = _spawn_search_workers(args.distributed, store.uri)
-    try:
-        result = _run_search(
-            args.workload, args.scale, args.images, args.train,
-            args.test, args.budget, strategies, args.rounds, args.seed,
-            engines, args.workers, store, executor=executor,
-        )
-    finally:
-        _reap_search_workers(workers)
+    result = _run_search(
+        args.workload, args.scale, args.images, args.train,
+        args.test, args.budget, strategies, args.rounds, args.seed,
+        engines, args.workers, _resolve_store(args.store),
+    )
     if args.json:
         _emit_json({"search": _search_doc(result, args.workload)})
     else:
@@ -755,37 +690,14 @@ def _restore_sigint() -> None:
     """Make Ctrl-C / ``kill -INT`` work even when launched as ``cmd &``.
 
     Shells start background jobs with SIGINT set to ignore, and Python
-    keeps an inherited ignore — so a long-running server/worker would
-    be unstoppable by SIGINT.  These commands rely on
-    ``KeyboardInterrupt`` for graceful shutdown, so restore the default
-    handler explicitly.
+    keeps an inherited ignore — so a long-running server would be
+    unstoppable by SIGINT.  ``serve`` relies on ``KeyboardInterrupt``
+    for graceful shutdown, so restore the default handler explicitly.
     """
     import signal
 
     if signal.getsignal(signal.SIGINT) == signal.SIG_IGN:
         signal.signal(signal.SIGINT, signal.default_int_handler)
-
-
-def _cmd_search_worker(args: argparse.Namespace) -> int:
-    from repro.search import run_worker
-    from repro.store import require_store
-
-    _restore_sigint()
-    store = require_store(args.store)
-    log = get_logger("search-worker")
-    log.info(f"search worker draining {store.uri}")
-    try:
-        executed = run_worker(
-            store,
-            poll=args.poll,
-            idle_timeout=args.idle_timeout,
-            max_items=args.max_items,
-        )
-    except KeyboardInterrupt:
-        log.info("search worker: shutting down")
-        return 0
-    log.info(f"search worker done ({executed} items)")
-    return 0
 
 
 # -- runs (experiment-store ledger) -----------------------------------------
@@ -1166,40 +1078,11 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--engines", default="K-Neighbors",
                         help="comma-separated learning engines")
-    search.add_argument(
-        "--distributed", type=int, default=None, metavar="N",
-        help="run islands on a store-backed work queue serviced by N "
-             "spawned search-worker processes (0 = rely on externally "
-             "started workers); requires a store",
-    )
     _add_workers_arg(search)
     _add_store_arg(search)
     _add_trace_arg(search)
     search.add_argument("--json", action="store_true",
                         help="machine-readable result document")
-
-    worker = sub.add_parser(
-        "search-worker",
-        help="execute distributed-search work items from a store",
-    )
-    worker.add_argument(
-        "--store", default=None, metavar="URI",
-        help="experiment store to drain (path or URI; default: "
-             "REPRO_STORE_DIR)",
-    )
-    worker.add_argument(
-        "--poll", type=float, default=0.5,
-        help="seconds between empty queue scans (default: 0.5)",
-    )
-    worker.add_argument(
-        "--idle-timeout", type=float, default=None,
-        help="exit after this many idle seconds (default: run until "
-             "killed)",
-    )
-    worker.add_argument(
-        "--max-items", type=int, default=None,
-        help="exit after executing this many items",
-    )
 
     runs = sub.add_parser(
         "runs", help="experiment-store run ledger operations"
@@ -1214,10 +1097,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         cmd = runs_sub.add_parser(name, help=help_text)
         cmd.add_argument(
-            "--store-dir", default=None, metavar="URI",
-            help="store root or URI (sqlite:PATH, "
-                 "sharded:PATH?shards=N, http://host:port; default: "
-                 "REPRO_STORE_DIR / .repro-store)",
+            "--store-dir", default=None, metavar="PATH",
+            help="store directory (default: REPRO_STORE_DIR / "
+                 ".repro-store)",
         )
         cmd.add_argument("--json", action="store_true",
                          help="machine-readable output")
@@ -1284,7 +1166,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "workloads": _cmd_workloads,
     "search": _cmd_search,
-    "search-worker": _cmd_search_worker,
     "runs": _cmd_runs,
     "serve": _cmd_serve,
     "export-verilog": _cmd_export_verilog,
@@ -1293,10 +1174,16 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    from repro.errors import ReproError
+
     args = build_parser().parse_args(argv)
     setup_logging()
-    with _tracing(args.command, getattr(args, "trace", None)):
-        return _COMMANDS[args.command](args)
+    try:
+        with _tracing(args.command, getattr(args, "trace", None)):
+            return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

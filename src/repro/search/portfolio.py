@@ -184,13 +184,6 @@ class PortfolioRunner:
     island per entry.  ``workers`` bounds the process count per round
     (``None`` falls back to ``REPRO_WORKERS``, then serial); results do
     not depend on it.
-
-    ``executor`` swaps the in-process round execution for a
-    :class:`~repro.search.distributed.DistributedExecutor`: island
-    tasks go through the store-backed work queue and detached workers
-    (``repro search-worker``) execute them.  The front is bit-identical
-    either way — tasks carry their whole RNG/strategy state and merge
-    in island order regardless of which worker answered.
     """
 
     def __init__(
@@ -207,7 +200,6 @@ class PortfolioRunner:
         store=None,
         label: str = "portfolio",
         run_params: Optional[Dict] = None,
-        executor=None,
     ):
         if not strategies:
             raise DSEError("a portfolio needs at least one strategy")
@@ -229,7 +221,6 @@ class PortfolioRunner:
         self.store = store
         self.label = label
         self.run_params = dict(run_params or {})
-        self.executor = executor
 
     # -- checkpoint plumbing -------------------------------------------------
 
@@ -388,75 +379,9 @@ class PortfolioRunner:
 
             run_id = RunLedger.new_run_id()
 
-        if self.executor is not None:
-            if self.store is None or run_id is None:
-                raise StoreError(
-                    "distributed search requires an experiment store "
-                    "(--store or REPRO_STORE_DIR)"
-                )
-            self.executor.bind(
-                self.store,
-                run_id,
-                (
-                    self.space, self.qor_model, self.hw_model,
-                    self.strategies,
-                ),
-            )
-
         metrics = get_metrics()
         metrics_mark = metrics.mark()
         stages: List[Dict] = []
-        spent_box = [spent]
-        try:
-            self._run_rounds(
-                start_round, max_evaluations, spent_box,
-                merged, generators, topup_gen, states, reports,
-                stages, run_id, resume_from, metrics, metrics_mark,
-            )
-        except BaseException:
-            if self.executor is not None:
-                self.executor.finish("failed")
-            raise
-        if self.executor is not None:
-            self.executor.finish("done")
-        spent = spent_box[0]
-
-        if run_id is not None and not stages:
-            # Nothing ran (checkpoint already complete): the restored
-            # run stays the authoritative manifest.
-            run_id = resume_from
-        points = merged.points
-        points[:, 0] = -points[:, 0]
-        return PortfolioResult(
-            configs=list(merged.payloads),
-            points=points,
-            evaluations=spent,
-            max_evaluations=max_evaluations,
-            rounds=self.rounds,
-            islands=reports,
-            run_id=run_id,
-            resumed_from=resume_from,
-        )
-
-    def _run_rounds(
-        self,
-        start_round: int,
-        max_evaluations: int,
-        spent_box: List[int],
-        merged: ParetoArchive,
-        generators: List,
-        topup_gen,
-        states: List[Dict],
-        reports: List[IslandReport],
-        stages: List[Dict],
-        run_id: Optional[str],
-        resume_from: Optional[str],
-        metrics,
-        metrics_mark,
-    ) -> None:
-        """The round loop of :meth:`run` (separated for executor cleanup)."""
-        n_islands = len(self.strategies)
-        spent = spent_box[0]
         for round_i in range(start_round, self.rounds):
             remaining = max_evaluations - spent
             if remaining <= 0:
@@ -494,7 +419,7 @@ class PortfolioRunner:
                 "search.round", cat="search",
                 args={"round": round_i, "islands": len(tasks)},
             ):
-                outcomes = self._execute(tasks, round_i)
+                outcomes = self._execute(tasks)
             for idx, result, rng_state, state, seconds in outcomes:
                 generators[idx].bit_generator.state = rng_state
                 states[idx] = state
@@ -573,12 +498,26 @@ class PortfolioRunner:
             metrics.set_gauge(
                 "search.front_size", len(merged.payloads)
             )
-        spent_box[0] = spent
 
-    def _execute(self, tasks, round_i: int = 0) -> List:
-        """Run the round's island tasks — runtime pool or work queue."""
-        if self.executor is not None:
-            return self.executor.run_round(round_i, tasks)
+        if run_id is not None and not stages:
+            # Nothing ran (checkpoint already complete): the restored
+            # run stays the authoritative manifest.
+            run_id = resume_from
+        points = merged.points
+        points[:, 0] = -points[:, 0]
+        return PortfolioResult(
+            configs=list(merged.payloads),
+            points=points,
+            evaluations=spent,
+            max_evaluations=max_evaluations,
+            rounds=self.rounds,
+            islands=reports,
+            run_id=run_id,
+            resumed_from=resume_from,
+        )
+
+    def _execute(self, tasks) -> List:
+        """Run the round's island tasks through the shared runtime."""
         from repro.core.runtime import get_runtime
 
         context = (

@@ -3,7 +3,7 @@
 The autoAx methodology front-loads expensive work — library
 characterisation, thousands of synthesis runs, model fitting — that is
 identical across many invocations.  This package makes that work
-persistent and shareable:
+persistent and reusable across runs on one machine:
 
 * :class:`~repro.store.artifacts.ArtifactStore` — a content-addressed
   blob cache (sqlite3 index + files, stdlib only).  Artifacts are keyed
@@ -26,16 +26,9 @@ persistent and shareable:
   :class:`~repro.store.synth_cache.StoreSynthCache` so reports are
   shared across processes and runs.
 
-The byte layer underneath is pluggable (see
-:mod:`~repro.store.backends`): the same facade runs over the default
-single-sqlite tree (``sqlite:PATH``), N hash-sharded subtrees
-(``sharded:PATH?shards=N``) or a remote ``repro serve`` instance
-(``http://host:port``) — one store URI grammar, parsed by
-:func:`~repro.store.uri.parse_store_uri`, accepted everywhere a store
-location is (``--store``, ``REPRO_STORE_DIR``).
-
-Default (sqlite) disk layout — everything under ``REPRO_STORE_DIR``,
-falling back to ``.repro-store``::
+Disk layout — everything under ``REPRO_STORE_DIR`` (a path; the
+spelling ``sqlite:PATH`` means the same), falling back to
+``.repro-store``::
 
     index.sqlite3                       artifact index
     objects/<kind>/<k0k1>/<key>.<ext>   content-addressed blobs
@@ -47,17 +40,11 @@ from repro.store.artifacts import (
     STORE_ENV,
     ArtifactRef,
     ArtifactStore,
+    atomic_write_bytes,
     default_store_dir,
     open_store,
     require_store,
 )
-from repro.store.backends import (
-    ShardedBackend,
-    SqliteBackend,
-    StoreBackend,
-    atomic_write_bytes,
-)
-from repro.store.uri import parse_store_uri
 from repro.store.hashing import (
     accelerator_fingerprint,
     canonical_json,
@@ -81,9 +68,6 @@ __all__ = [
     "MemorySynthCache",
     "RunLedger",
     "STORE_ENV",
-    "ShardedBackend",
-    "SqliteBackend",
-    "StoreBackend",
     "StoreSynthCache",
     "accelerator_fingerprint",
     "atomic_write_bytes",
@@ -93,7 +77,6 @@ __all__ = [
     "images_fingerprint",
     "library_fingerprint",
     "open_store",
-    "parse_store_uri",
     "require_store",
     "space_fingerprint",
     "synth_cache_for",

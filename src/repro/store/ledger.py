@@ -8,24 +8,23 @@ store artifacts it produced or reused.  Manifests make runs enumerable
 the warm store (``resume``) and the root set for garbage collection
 (``gc`` keeps exactly the artifacts some manifest references).
 
-The ledger is topology-agnostic: construct it from an
-:class:`~repro.store.artifacts.ArtifactStore` (or a raw
-:class:`~repro.store.backends.StoreBackend`) and manifests route
-through the backend's manifest primitives — local stores keep the
-historic ``<root>/runs/<run_id>.json`` files, remote stores round-trip
-through the ``/v1/store/runs`` API.  A bare path still works and means
-the local filesystem layout.
+Construct the ledger from an
+:class:`~repro.store.artifacts.ArtifactStore` or its root path; either
+way manifests are the files ``<root>/runs/<run_id>.json``.  Run ids
+are file names, so the ledger refuses any id that could name a file
+outside ``runs/``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
-from repro.store.backends import StoreBackend, _LocalManifests
+from repro.store.artifacts import ArtifactStore, atomic_write_bytes
 
 #: Manifest format version (bump on incompatible schema changes).
 MANIFEST_VERSION = 1
@@ -35,38 +34,29 @@ def _iso(ts: float) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))
 
 
+def _check_run_id(run_id) -> str:
+    """``run_id`` if it names one file directly under ``runs/``."""
+    if (
+        not isinstance(run_id, str)
+        or not run_id
+        or run_id.startswith(".")
+        or any(ch in run_id for ch in ("/", "\\", "\0"))
+    ):
+        raise StoreError(f"invalid run id {run_id!r}")
+    return run_id
+
+
 class RunLedger:
     """Append-only collection of run manifests of one store."""
 
     def __init__(self, root) -> None:
-        backend = getattr(root, "backend", None)  # an ArtifactStore
-        if backend is None and isinstance(root, StoreBackend):
-            backend = root
-        if backend is not None:
-            self._backend: Optional[StoreBackend] = backend
-            self.root = backend.root
-            self._local = (
-                _LocalManifests(backend.root)
-                if backend.root is not None
-                else None
-            )
-        else:
-            self._backend = None
-            self.root = Path(root)
-            self._local = _LocalManifests(self.root)
+        if isinstance(root, ArtifactStore):
+            root = root.root
+        self.root = Path(root)
+        self.runs_dir = self.root / "runs"
 
-    @property
-    def runs_dir(self) -> Path:
-        if self._local is not None:
-            return self._local.runs_dir
-        raise StoreError(
-            f"ledger at {self._where()} has no local runs directory"
-        )
-
-    def _where(self) -> str:
-        if self._backend is not None:
-            return self._backend.uri
-        return str(self.runs_dir)
+    def _path(self, run_id: str) -> Path:
+        return self.runs_dir / f"{_check_run_id(run_id)}.json"
 
     # -- creation -----------------------------------------------------------
 
@@ -108,10 +98,10 @@ class RunLedger:
         }
         if extra:
             manifest["extra"] = extra
-        if self._backend is not None:
-            self._backend.put_manifest(run_id, manifest)
-        else:
-            self._local.put(run_id, manifest)
+        atomic_write_bytes(
+            self._path(run_id),
+            json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8"),
+        )
         return manifest
 
     # -- enumeration --------------------------------------------------------
@@ -122,10 +112,15 @@ class RunLedger:
         ``kind`` restricts the listing to one manifest kind (e.g.
         ``"serve-job"`` — the serving layer's audit log).
         """
-        if self._backend is not None:
-            manifests = self._backend.list_manifests()
-        else:
-            manifests = self._local.list()
+        manifests = []
+        if self.runs_dir.is_dir():
+            for path in sorted(self.runs_dir.glob("*.json")):
+                if path.name.startswith("."):
+                    continue  # in-flight atomic write of another process
+                try:
+                    manifests.append(json.loads(path.read_text()))
+                except (OSError, json.JSONDecodeError):
+                    continue
         if kind is not None:
             manifests = [
                 m for m in manifests if m.get("kind") == kind
@@ -137,29 +132,24 @@ class RunLedger:
         return manifests
 
     def get(self, run_id: str) -> Dict:
-        if self._backend is not None:
-            manifest = self._backend.get_manifest(run_id)
-        else:
-            manifest = self._local.get(run_id)
-        if manifest is None:
+        try:
+            return json.loads(self._path(run_id).read_text())
+        except (OSError, json.JSONDecodeError):
             raise StoreError(
-                f"no run {run_id!r} in ledger at {self._where()}"
-            )
-        return manifest
+                f"no run {run_id!r} in ledger at {self.runs_dir}"
+            ) from None
 
     def latest(self) -> Optional[Dict]:
         manifests = self.runs()
         return manifests[-1] if manifests else None
 
     def delete(self, run_id: str) -> None:
-        if self._backend is not None:
-            removed = self._backend.delete_manifest(run_id)
-        else:
-            removed = self._local.delete(run_id)
-        if not removed:
+        try:
+            self._path(run_id).unlink()
+        except OSError:
             raise StoreError(
-                f"no run {run_id!r} in ledger at {self._where()}"
-            )
+                f"no run {run_id!r} in ledger at {self.runs_dir}"
+            ) from None
 
     # -- garbage-collection roots -------------------------------------------
 
@@ -173,4 +163,4 @@ class RunLedger:
         return refs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RunLedger {self._where()}>"
+        return f"<RunLedger {self.runs_dir}>"

@@ -116,7 +116,9 @@ class TestAuth:
 
 class TestValidation:
     def test_unknown_route_404(self, server):
-        assert api(server, "/v1/nope")[0] == 404
+        # /v1/store/* was the removed artifact-store API
+        for path in ("/v1/nope", "/v1/store/stat"):
+            assert api(server, path)[0] == 404, path
 
     def test_unknown_field_400(self, server):
         status, doc = api(server, "/v1/jobs", "POST",

@@ -1,8 +1,10 @@
-"""ArtifactStore: codecs, robustness, concurrency, gc, env resolution."""
+"""ArtifactStore: codecs, robustness, concurrency, fork safety, gc,
+store locations and env resolution."""
 
 import hashlib
 import json
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -119,6 +121,26 @@ class TestRobustness:
         assert store.entries("training-set") != []
         assert ref.path.is_file()
 
+    def test_raced_blob_is_reindexed_then_garbage_evicted(self, tmp_path):
+        """Changed bytes on disk: valid ones are adopted, garbage evicted.
+
+        Changed but decodable bytes are indistinguishable from a raced
+        valid write, so they are re-indexed and served consistently;
+        undecodable bytes turn into a transparent miss.
+        """
+        store = ArtifactStore(tmp_path)
+        ref = store.put("dse", KEY, {"x": 1})
+        ref.path.write_bytes(b'{"x": "raced"}')
+        assert store.get("dse", KEY) == {"x": "raced"}
+        assert store.get("dse", KEY) == {"x": "raced"}
+        [entry] = store.entries("dse")
+        assert entry.sha256 == hashlib.sha256(b'{"x": "raced"}').hexdigest()
+        ref.path.write_bytes(b"garbage")
+        assert store.get("dse", KEY) is None  # evicted, not a crash
+        assert store.entries("dse") == []
+        store.put("dse", KEY, {"x": 2})
+        assert store.get("dse", KEY) == {"x": 2}
+
 
 def _writer(root: str, worker: int, n: int) -> None:
     store = ArtifactStore(root)
@@ -148,6 +170,41 @@ class TestConcurrency:
             assert doc["writer"] in (0, 1)
 
 
+def _child_reads(store, queue):
+    try:
+        queue.put(("ok", store.get("dse", KEY)))
+    except Exception as exc:  # pragma: no cover - the failure mode
+        queue.put(("err", repr(exc)))
+
+
+class TestForkSafety:
+    def test_fork_after_read_gets_fresh_connection(self, tmp_path):
+        """A child forked after a read must not share the parent's handle."""
+        store = ArtifactStore(tmp_path)
+        store.put("dse", KEY, {"x": 1})
+        assert store.get("dse", KEY) == {"x": 1}  # caches the connection
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_child_reads, args=(store, queue))
+        child.start()
+        tag, value = queue.get(timeout=30)
+        child.join(timeout=30)
+        assert (tag, value) == ("ok", {"x": 1})
+        assert child.exitcode == 0
+        # and the parent's cached connection still works after the fork
+        assert store.get("dse", KEY) == {"x": 1}
+        store.put("dse", "b" * 64, [])
+        assert store.get("dse", "b" * 64) == []
+
+    def test_pickle_carries_only_the_root(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put("dse", KEY, {"x": 1})  # opens a connection
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone.root == store.root
+        assert clone._conn is None
+        assert clone.get("dse", KEY) == {"x": 1}
+
+
 class TestGc:
     def test_keeps_referenced_and_shared(self, tmp_path, tiny_library):
         store = ArtifactStore(tmp_path)
@@ -166,6 +223,93 @@ class TestGc:
         store.put("library", "3" * 64, tiny_library)
         store.gc(set(), keep_kinds=())
         assert store.get("library", "3" * 64) is None
+
+    def test_dry_run_reports_what_the_real_pass_removes(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        keys = [format(i, "x") * 16 for i in range(6)]
+        for i, key in enumerate(keys):
+            store.put("dse", key, "x" * (i + 1))
+        kept = {("dse", key) for key in keys[:2]}
+        dry = store.gc(kept, keep_kinds=(), dry_run=True)
+        assert dry["dry_run"] is True
+        assert len(store.entries()) == 6  # nothing deleted
+        real = store.gc(kept, keep_kinds=())
+        assert real["dry_run"] is False
+        assert store.keys("dse") == keys[:2]
+        dry.pop("dry_run"), real.pop("dry_run")
+        assert dry == real
+        assert real["removed"] == 4 and real["kept"] == 2
+
+
+def _open_via(surface, location, monkeypatch):
+    """Open a store through one of the three user-facing surfaces."""
+    if surface == "open_store":
+        return open_store(location)
+    if surface == "--store":
+        from repro.cli import _resolve_store, build_parser
+
+        args = build_parser().parse_args(["run", "--store", location])
+        return _resolve_store(args.store)
+    monkeypatch.setenv("REPRO_STORE_DIR", location)
+    return open_store()
+
+
+SURFACES = ["open_store", "--store", "REPRO_STORE_DIR"]
+
+
+class TestStoreLocation:
+    """A store is a local directory, spelled ``PATH`` or ``sqlite:PATH``."""
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    @pytest.mark.parametrize("removed", ["sharded:x", "http://h:1"])
+    def test_removed_backends_rejected(self, surface, removed,
+                                       monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="removed backend"):
+            _open_via(surface, removed, monkeypatch)
+        assert list(tmp_path.iterdir()) == []  # no "sharded:" dir
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_sqlite_prefix_and_bare_path_are_one_store(
+        self, surface, monkeypatch, tmp_path
+    ):
+        root = tmp_path / "store"
+        plain = _open_via(surface, str(root), monkeypatch)
+        prefixed = _open_via(surface, f"sqlite:{root}", monkeypatch)
+        assert plain.root == prefixed.root == root
+        assert plain.uri == prefixed.uri == f"sqlite:{root}"
+        plain.put("dse", KEY, {"x": 1})
+        assert prefixed.get("dse", KEY) == {"x": 1}
+        assert open_store(prefixed.uri).get("dse", KEY) == {"x": 1}
+        assert open_store(plain) is plain
+
+    @pytest.mark.parametrize("empty", ["", "   ", "sqlite:"])
+    def test_empty_location_rejected(self, empty):
+        with pytest.raises(ValidationError, match="non-empty"):
+            open_store(empty)
+
+    def test_cli_reports_removed_backend(self, monkeypatch, tmp_path,
+                                         capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["workloads", "run", "sobel", "--store",
+                     "sharded:x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "removed backend" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sharded_root_refused(self, tmp_path):
+        """A sharded tree written by an earlier release is never opened
+        as a plain store on top of its shards."""
+        (tmp_path / "store-manifest.json").write_text(json.dumps(
+            {"format": "sharded", "version": 1, "shards": 4}
+        ))
+        with pytest.raises(StoreError, match="sharded"):
+            ArtifactStore(tmp_path)
+        with pytest.raises(StoreError, match="sharded"):
+            open_store(str(tmp_path))
+        assert not (tmp_path / "index.sqlite3").exists()
 
 
 class TestEnvResolution:

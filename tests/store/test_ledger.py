@@ -86,3 +86,26 @@ class TestLedger:
             ("space", "a" * 64),
             ("evaluations", "b" * 64),
         }
+
+
+class TestRunIds:
+    """Run ids are file names under ``runs/``; none may escape it."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["", ".", "..", ".hidden", "../../secret", "a/b", "a\\b",
+         "a\0b"],
+    )
+    def test_unsafe_ids_rejected(self, tmp_path, bad):
+        root = tmp_path / "store"
+        secret = tmp_path / "secret.json"
+        secret.write_text('{"run_id": "secret"}')
+        ledger = RunLedger(root)
+        with pytest.raises(StoreError, match="invalid run id"):
+            _record(ledger, bad)
+        with pytest.raises(StoreError, match="invalid run id"):
+            ledger.get(bad)
+        with pytest.raises(StoreError, match="invalid run id"):
+            ledger.delete(bad)
+        assert secret.read_text() == '{"run_id": "secret"}'
+        assert not (root / "runs").exists()

@@ -197,11 +197,11 @@ class TestCommands:
         assert lines[0] == "ssim,area"
         assert len(lines) >= 2
 
-    def test_workloads_run_unknown_name(self):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError, match="registered"):
-            main(["workloads", "run", "frobnicate"])
+    def test_workloads_run_unknown_name(self, capsys):
+        assert main(["workloads", "run", "frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "registered" in err
+        assert "Traceback" not in err
 
     def test_runs_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -220,8 +220,8 @@ class TestCommands:
     def test_restore_sigint_unignores(self):
         """Background-job SIGINT=ignore must be reset to default.
 
-        Shells start ``cmd &`` jobs with SIGINT ignored; serve and
-        search-worker rely on KeyboardInterrupt for graceful shutdown.
+        Shells start ``cmd &`` jobs with SIGINT ignored; serve relies
+        on KeyboardInterrupt for graceful shutdown.
         """
         import signal
 
@@ -423,20 +423,23 @@ class TestStoreCommands:
         assert [m["run_id"] for m in doc["runs"]] == [run_id]
 
     def test_runs_show_unknown_id(self, store_env, capsys):
-        from repro.errors import StoreError
-
         self._run_json(capsys)
-        with pytest.raises(StoreError, match="no run"):
-            main(["runs", "show", "nope"])
+        assert main(["runs", "show", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[-1].startswith("error: no run 'nope'")
+        assert "Traceback" not in captured.err
 
-    def test_runs_against_missing_store(self, tmp_path, monkeypatch):
-        from repro.errors import StoreError
-
+    def test_runs_against_missing_store(self, tmp_path, monkeypatch,
+                                        capsys):
         monkeypatch.setenv(
             "REPRO_STORE_DIR", str(tmp_path / "absent")
         )
-        with pytest.raises(StoreError, match="no experiment store"):
-            main(["runs", "list"])
+        assert main(["runs", "list"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no experiment store")
+        assert "Traceback" not in err
 
 
 class TestJsonStdoutPurity:

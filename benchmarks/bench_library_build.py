@@ -22,14 +22,13 @@ JSON array) in the working tree.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
 
 from benchmarks._common import sized, write_result
 from repro.circuits.characterization import characterization_count
-from repro.core.runtime import get_runtime, reset_runtime
+from repro.core.runtime import reset_runtime, usable_cores
 from repro.library.generation import scaled_plan
 from repro.library.io import library_payload
 from repro.library.pipeline import build_library
@@ -50,13 +49,6 @@ def _payload_text(library) -> str:
     return json.dumps(library_payload(library), sort_keys=True)
 
 
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        return os.cpu_count() or 1
-
-
 def test_library_build():
     plan = scaled_plan(sized(0.004, 0.05), seed=0)
 
@@ -71,16 +63,10 @@ def test_library_build():
     parallel = build_library(plan, workers=PARALLEL_WORKERS)
     parallel_s = time.perf_counter() - start
     assert _payload_text(parallel.library) == reference
-    decisions = list(get_runtime().decisions)
-    parallel_ran = any(d.mode == "parallel" for d in decisions)
-    raw_speedup = serial_s / parallel_s if parallel_s > 0 else (
-        float("inf")
-    )
-    # When the shared runtime kept the build serial (single-core
-    # machine, sub-threshold work), the executed path is the workers=1
-    # path — the floor is exact by construction; the raw ratio stays in
-    # the doc for honesty.
-    speedup = raw_speedup if parallel_ran else max(raw_speedup, 1.0)
+    cores = usable_cores()
+    # On one usable core the runtime runs the workers=1 path.
+    parallel_ran = min(PARALLEL_WORKERS, cores) > 1
+    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-lib-") as tmp:
         store = ArtifactStore(tmp)
@@ -109,7 +95,6 @@ def test_library_build():
         assert warm_manifest["stages"][0]["cache"] == "hit"
 
     warm_speedup = serial_s / warm_s if warm_s > 0 else float("inf")
-    cores = _cores()
     enforced = cores >= PARALLEL_WORKERS
     write_result(
         "library_build",
@@ -119,7 +104,7 @@ def test_library_build():
             f"serial  ({1} worker):  {serial_s:8.3f}s\n"
             f"parallel ({PARALLEL_WORKERS} workers): "
             f"{parallel_s:8.3f}s  ({speedup:.1f}x"
-            f"{'' if parallel_ran else ', auto-serial'})\n"
+            f"{'' if parallel_ran else ', serial path'})\n"
             f"warm store rebuild:   {warm_s:8.3f}s  "
             f"({warm_speedup:.1f}x, 0 characterisations, "
             f"0 synthesis)\n"
@@ -136,11 +121,7 @@ def test_library_build():
         "serial_seconds": round(serial_s, 4),
         "parallel_seconds": round(parallel_s, 4),
         "parallel_speedup": round(speedup, 2),
-        "raw_parallel_speedup": round(raw_speedup, 2),
         "parallel_ran": parallel_ran,
-        "runtime_decisions": sorted(
-            {f"{d.mode}:{d.reason}" for d in decisions}
-        ),
         "warm_seconds": round(warm_s, 4),
         "warm_speedup": round(warm_speedup, 2),
         "warm_stats": warm.stats.as_dict(),
@@ -157,12 +138,12 @@ def test_library_build():
     BENCH_JSON.write_text(
         json.dumps(trajectory, sort_keys=True, indent=2) + "\n"
     )
-    # The auto-serial floor holds everywhere: a 4-worker build is never
-    # slower than serial (on sub-4-core machines it *is* the serial
-    # path, so only noise separates the two timings).
-    assert speedup >= 1.0, (
-        f"4-worker build lost to serial: {speedup:.2f}x"
-    )
+    # Where the pool ran, it must not lose to serial (on one core both
+    # builds take the serial path, so only noise separates them).
+    if parallel_ran:
+        assert speedup >= 1.0, (
+            f"4-worker build lost to serial: {speedup:.2f}x"
+        )
     if enforced:
         assert speedup >= MIN_SPEEDUP, (
             f"parallel build only {speedup:.2f}x faster "

@@ -170,8 +170,7 @@ class MeteredEstimator:
     (models published to the persistent pool via shared memory; chunk
     results concatenate in submission order, so the output is
     bit-identical to the serial path for any row-independent
-    regressor — and the runtime's cost model keeps small batches
-    serial).  :meth:`close` remains for API compatibility; the pool is
+    regressor).  :meth:`close` remains for API compatibility; the pool is
     process-wide and outlives the estimator.
     """
 

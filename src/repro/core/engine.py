@@ -277,9 +277,9 @@ class EvaluationEngine:
 
         Duplicates are analysed once.  Every unique configuration gets
         its own :meth:`evaluate`: in-process, or — with ``workers > 1``
-        — in contiguous chunks on the shared process pool, where the
-        runtime cost model may still keep the batch serial.  Both paths
-        produce bit-identical results.
+        — in contiguous chunks on the shared process pool, unless the
+        runtime's serial rule keeps the batch in-process (one usable
+        core).  Both paths produce bit-identical results.
         """
         configs = [tuple(c) for c in configs]
         unique: Dict[Configuration, int] = {}
@@ -311,7 +311,6 @@ class EvaluationEngine:
         configs: List[Configuration],
         workers: int,
     ) -> List[EvaluationResult]:
-        workers = min(workers, len(configs))
         # Contiguous chunks, a few per worker so stragglers even out.
         n_chunks = min(len(configs), workers * 4)
         chunks = [

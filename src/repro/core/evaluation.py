@@ -11,7 +11,7 @@ alias for) :class:`~repro.core.engine.EvaluationEngine`, which compiles
 the accelerator graph, batches all (image x scenario) runs into one
 vectorised pass, memoises synthesis, and analyses configuration batches
 one configuration at a time (``evaluate_many`` runs the serial loop or,
-when the runtime cost model says it pays, process-pool chunks — both
+when more than one worker would be busy, process-pool chunks — both
 bit-identical).
 """
 

@@ -523,13 +523,10 @@ class PortfolioRunner:
         context = (
             self.space, self.qor_model, self.hw_model, self.strategies,
         )
-        workers = self.workers
-        if workers is not None:
-            workers = min(workers, len(tasks))
         return get_runtime().map(
             _run_island,
             tasks,
             context=context,
-            workers=workers,
+            workers=self.workers,
             label="portfolio-islands",
         )

@@ -1,9 +1,9 @@
-"""Shared parallel runtime: cost model, shm lifecycle, spawn identity.
+"""Shared parallel runtime: serial rule, shm lifecycle, spawn identity.
 
 The runtime's three load-bearing promises are pinned here:
 
-* the **auto-serial cost model** never fans out work that cannot win
-  (so a larger ``workers`` setting is at worst the serial path);
+* the **serial rule** runs a batch in-process exactly when at most one
+  worker would be busy (or the caller already is a worker);
 * every published **shared-memory segment** is tracked and unlinked —
   after normal use, worker crashes, ``KeyboardInterrupt`` and plain
   interpreter exit (asserted against ``/dev/shm`` directly);
@@ -14,12 +14,14 @@ The runtime's three load-bearing promises are pinned here:
 
 from __future__ import annotations
 
+import gc
 import glob
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +37,12 @@ from repro.core.runtime import (
 from repro.library.generation import GenerationPlan
 from repro.library.io import library_payload
 from repro.library.pipeline import build_library
+
+
+@pytest.fixture(autouse=True)
+def two_cores(monkeypatch):
+    """Let ``workers=2`` reach the pool on any host."""
+    monkeypatch.setattr(rt, "usable_cores", lambda: 2)
 
 
 @pytest.fixture()
@@ -62,8 +70,7 @@ def _flags_task(context, n):
 
 
 def _crash_task(context, n):
-    # The runtime probes the first task in-process; only die when this
-    # actually runs inside a pool worker.
+    # Only die inside a pool worker, never in the test process.
     if rt._IN_WORKER:
         os._exit(13)
     return n
@@ -97,83 +104,56 @@ class TestWorkersConventions:
             assert 'get_context("fork")' not in src
 
 
-class TestCostModel:
-    def test_no_workers_stays_serial(self, fresh_runtime):
-        out = fresh_runtime.map(_sum_task, [5, 10], context=(BIG,))
-        assert out == [10, 45]
-        assert fresh_runtime.last_decision.mode == "serial"
-        assert fresh_runtime.last_decision.reason == "workers<=1"
-
-    def test_single_task_stays_serial(self, fresh_runtime):
+class TestSerialRule:
+    @pytest.mark.parametrize(
+        "workers, n_tasks, cores, in_worker, mode",
+        [
+            (None, 3, 2, False, "serial"),
+            (0, 3, 2, False, "serial"),
+            (1, 3, 2, False, "serial"),
+            (4, 1, 2, False, "serial"),
+            (4, 3, 1, False, "serial"),
+            (4, 3, 2, True, "serial"),
+            (2, 3, 2, False, "parallel"),
+        ],
+        ids=[
+            "workers-none", "workers-0", "workers-1", "one-task",
+            "one-core", "nested-in-worker", "pool",
+        ],
+    )
+    def test_rule(self, fresh_runtime, monkeypatch, workers, n_tasks,
+                  cores, in_worker, mode):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(rt, "usable_cores", lambda: cores)
+        monkeypatch.setattr(rt, "_IN_WORKER", in_worker)
+        tasks = list(range(2, 2 + n_tasks))
         out = fresh_runtime.map(
-            _sum_task, [3], context=(BIG,), workers=4
+            _sum_task, tasks, context=(BIG,), workers=workers
         )
-        assert out == [3]
-        assert fresh_runtime.last_decision.reason == "single-task"
-
-    def test_parallel_never_env(self, fresh_runtime, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "never")
-        fresh_runtime.map(_sum_task, [2, 3, 4], context=(BIG,), workers=4)
-        assert fresh_runtime.last_decision.reason == "REPRO_PARALLEL=never"
-
-    def test_single_core_floor_is_exact(self, fresh_runtime, monkeypatch):
-        """On one usable core, workers=4 runs the literal serial path."""
-        monkeypatch.setattr(rt, "usable_cores", lambda: 1)
-        fresh_runtime.map(_sum_task, [2, 3, 4], context=(BIG,), workers=4)
-        decision = fresh_runtime.last_decision
-        assert decision.mode == "serial"
-        assert decision.reason == "single-core"
-        assert decision.effective_workers == 1
-
-    def test_tiny_batches_fall_below_threshold(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setattr(rt, "usable_cores", lambda: 8)
-        fresh_runtime.map(
-            _sum_task, [1, 2, 3, 4], context=(BIG,), workers=4
+        assert out == [int(BIG[:n].sum()) for n in tasks]
+        other = "parallel" if mode == "serial" else "serial"
+        assert fresh_runtime.stats[f"{mode}_batches"] == 1
+        assert fresh_runtime.stats[f"{other}_batches"] == 0
+        # Serial batches publish nothing.
+        assert bool(fresh_runtime.tracked_segments()) == (
+            mode == "parallel"
         )
-        decision = fresh_runtime.last_decision
-        assert decision.mode == "serial"
-        assert decision.reason == "below-threshold"
-
-    def test_nested_calls_inside_workers_stay_serial(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setattr(rt, "_IN_WORKER", True)
-        fresh_runtime.map(_sum_task, [2, 3], context=(BIG,), workers=4)
-        assert fresh_runtime.last_decision.reason == "nested-in-worker"
 
     def test_empty_batch(self, fresh_runtime):
         assert fresh_runtime.map(_sum_task, [], context=(BIG,)) == []
 
-    def test_bad_parallel_env_rejected(self, fresh_runtime, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
-            fresh_runtime.map(
-                _sum_task, [1, 2], context=(BIG,), workers=2
-            )
-
-    def test_bad_threshold_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "soon")
-        with pytest.raises(ValueError, match="REPRO_PARALLEL_THRESHOLD"):
-            ParallelRuntime.threshold_seconds()
-
 
 class TestParallelExecution:
-    def test_forced_parallel_matches_serial(
-        self, fresh_runtime, monkeypatch
-    ):
+    def test_forced_parallel_matches_serial(self, fresh_runtime):
         tasks = list(range(2, 40))
         serial = fresh_runtime.map(_sum_task, tasks, context=(BIG,))
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
         parallel = fresh_runtime.map(
             _sum_task, tasks, context=(BIG,), workers=2
         )
         assert parallel == serial
-        assert fresh_runtime.last_decision.mode == "parallel"
+        assert fresh_runtime.stats["parallel_batches"] == 1
 
-    def test_imap_streams_in_task_order(self, fresh_runtime, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_imap_streams_in_task_order(self, fresh_runtime):
         tasks = list(range(1, 20))
         out = list(
             fresh_runtime.imap(
@@ -182,22 +162,14 @@ class TestParallelExecution:
         )
         assert out == [int(BIG[:n].sum()) for n in tasks]
 
-    def test_workers_see_zero_copy_readonly_views(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_workers_see_zero_copy_readonly_views(self, fresh_runtime):
         flags = fresh_runtime.map(
             _flags_task, [1, 2, 3, 4], context=(BIG,), workers=2
         )
-        # The probe runs on the live (writeable) parent array; the pool
-        # tasks attach the published read-only shm view.
-        assert flags[0] is True
-        assert not any(flags[1:])
+        # Every task runs in the pool on the published read-only view.
+        assert not any(flags)
 
-    def test_pool_and_context_are_reused_across_batches(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_pool_and_context_are_reused_across_batches(self, fresh_runtime):
         context = (BIG,)
         fresh_runtime.map(
             _sum_task, [1, 2, 3], context=context, workers=2
@@ -212,11 +184,17 @@ class TestParallelExecution:
         assert fresh_runtime.tracked_segments() == segments
 
 
+class TestSingleton:
+    def test_reset_releases_the_closed_runtime(self):
+        reset_runtime()
+        ref = weakref.ref(get_runtime())
+        reset_runtime()
+        gc.collect()
+        assert ref() is None
+
+
 class TestShmLifecycle:
-    def test_normal_close_unlinks_everything(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_normal_close_unlinks_everything(self, fresh_runtime):
         fresh_runtime.map(
             _sum_task, [1, 2, 3], context=(BIG,), workers=2
         )
@@ -226,12 +204,9 @@ class TestShmLifecycle:
         assert fresh_runtime.tracked_segments() == []
         assert _shm_entries(os.getpid()) == []
 
-    def test_worker_crash_cleans_up_and_recovers(
-        self, fresh_runtime, monkeypatch
-    ):
+    def test_worker_crash_cleans_up_and_recovers(self, fresh_runtime):
         from concurrent.futures.process import BrokenProcessPool
 
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
         with pytest.raises(BrokenProcessPool):
             fresh_runtime.map(
                 _crash_task, [1, 2, 3, 4], context=(BIG,), workers=2
@@ -245,10 +220,7 @@ class TestShmLifecycle:
         fresh_runtime.close()
         assert _shm_entries(os.getpid()) == []
 
-    def test_keyboard_interrupt_cleans_up(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_keyboard_interrupt_cleans_up(self, fresh_runtime):
         with pytest.raises(KeyboardInterrupt):
             fresh_runtime.map(
                 _interrupt_task, [1, 2, 3], context=(BIG,), workers=2
@@ -262,9 +234,10 @@ class TestShmLifecycle:
             """
             import os
             import numpy as np
+            import repro.core.runtime as rt
             from repro.core.runtime import get_runtime
 
-            os.environ["REPRO_PARALLEL"] = "always"
+            rt.usable_cores = lambda: 2
             runtime = get_runtime()
             arr = np.arange(100_000, dtype=np.int64)
 
@@ -309,11 +282,8 @@ class TestShmLifecycle:
             runtime.close()
         assert runtime.tracked_segments() == []
 
-    def test_forked_children_never_unlink_parent_segments(
-        self, fresh_runtime, monkeypatch
-    ):
+    def test_forked_children_never_unlink_parent_segments(self, fresh_runtime):
         """close() in an inheriting process must be a no-op."""
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
         fresh_runtime.map(
             _sum_task, [1, 2, 3], context=(BIG,), workers=2
         )
@@ -343,10 +313,9 @@ class TestSharedArrayPublication:
         fresh_runtime.publish((arr,))
         assert len(fresh_runtime.tracked_segments()) == 1
 
-    def test_no_shm_mode_falls_back_to_inline_blobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_no_shm_mode_falls_back_to_inline_blobs(self):
         runtime = ParallelRuntime()
+        runtime._shm_ok = False  # as after a failed segment creation
         try:
             out = runtime.map(
                 _sum_task, [2, 3, 4], context=(BIG,), workers=2
@@ -357,15 +326,19 @@ class TestSharedArrayPublication:
             runtime.close()
 
 
+def _install_spawn_runtime():
+    """Make a spawn-started runtime the process-wide singleton."""
+    reset_runtime()
+    rt._RUNTIME = ParallelRuntime(start_method="spawn")
+
+
 class TestForcedSpawn:
     """Satellite: the non-fork path must be bit-identical (and exist)."""
 
     def test_spawn_evaluate_many_matches_serial(
-        self, sobel, small_images, sobel_space, monkeypatch
+        self, sobel, small_images, sobel_space
     ):
-        reset_runtime()
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        _install_spawn_runtime()
         try:
             assert get_runtime().start_method == "spawn"
             configs = sobel_space.random_configurations(6, rng=7)
@@ -376,26 +349,26 @@ class TestForcedSpawn:
                 sobel, small_images
             ).evaluate_many(sobel_space, configs, workers=2)
             assert pickle.dumps(serial) == pickle.dumps(spawned)
+            assert get_runtime().stats["parallel_batches"] == 1
         finally:
             reset_runtime()
 
-    def test_spawn_library_build_matches_serial(self, monkeypatch):
+    def test_spawn_library_build_matches_serial(self):
         plan = GenerationPlan(
             {("add", 4): 10, ("mul", 4): 6}, seed=3, sample_size=1 << 10
         )
         reset_runtime()
         serial = build_library(plan, workers=1, chunk_size=4)
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        _install_spawn_runtime()
         try:
             spawned = build_library(plan, workers=2, chunk_size=4)
+            assert get_runtime().stats["parallel_batches"] >= 1
             assert library_payload(spawned.library) == library_payload(
                 serial.library
             )
         finally:
             reset_runtime()
 
-    def test_invalid_start_method_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_START_METHOD", "thread")
-        with pytest.raises(ValueError, match="REPRO_START_METHOD"):
-            ParallelRuntime()
+    def test_invalid_start_method_rejected(self):
+        with pytest.raises(ValueError, match="thread"):
+            ParallelRuntime(start_method="thread")

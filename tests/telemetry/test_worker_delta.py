@@ -11,13 +11,20 @@ import pickle
 
 import pytest
 
-from repro.core.runtime import get_runtime, reset_runtime
+from repro.core import runtime as rt
+from repro.core.runtime import ParallelRuntime, get_runtime, reset_runtime
 from repro.telemetry import get_metrics
 from repro.telemetry.tracing import (
     Tracer,
     install_tracer,
     uninstall_tracer,
 )
+
+
+@pytest.fixture(autouse=True)
+def two_cores(monkeypatch):
+    """Let ``workers=2`` reach the pool on any host."""
+    monkeypatch.setattr(rt, "usable_cores", lambda: 2)
 
 
 @pytest.fixture()
@@ -41,10 +48,11 @@ def _metric_task(context, n):
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_worker_metrics_aggregate(start_method, fresh_runtime,
-                                  monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "always")
-    monkeypatch.setenv("REPRO_START_METHOD", start_method)
+def test_worker_metrics_aggregate(start_method, fresh_runtime):
+    reset_runtime()
+    rt._RUNTIME = ParallelRuntime(start_method=start_method)
+    runtime = get_runtime()
+    assert runtime.start_method == start_method
     tasks = list(range(8))
     metrics = get_metrics()
     mark = metrics.mark()
@@ -52,10 +60,10 @@ def test_worker_metrics_aggregate(start_method, fresh_runtime,
         "wd.values", {"count": 0, "sum": 0.0}
     )
 
-    out = fresh_runtime.map(_metric_task, tasks, workers=2)
+    out = runtime.map(_metric_task, tasks, workers=2)
 
     assert out == [n * n for n in tasks]
-    assert fresh_runtime.last_decision.mode == "parallel"
+    assert runtime.stats["parallel_batches"] == 1
     snap = metrics.snapshot(since=mark)
     # every task counted exactly once, wherever it ran
     assert snap["counters"]["wd.tasks"] == len(tasks)
@@ -64,9 +72,7 @@ def test_worker_metrics_aggregate(start_method, fresh_runtime,
     assert after["sum"] - before["sum"] == float(sum(tasks))
 
 
-def test_worker_spans_stitch_under_batch(fresh_runtime, tracer,
-                                         monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "always")
+def test_worker_spans_stitch_under_batch(fresh_runtime, tracer):
     tasks = list(range(6))
     out = fresh_runtime.map(_metric_task, tasks, workers=2)
     assert out == [n * n for n in tasks]
@@ -75,18 +81,15 @@ def test_worker_spans_stitch_under_batch(fresh_runtime, tracer,
     (batch,) = [e for e in events if e["cat"] == "runtime"]
     assert batch["name"] == "runtime._metric_task"
     worker_spans = [e for e in events if e["cat"] == "worker"]
-    # the probe task runs in-process; the rest get worker spans
-    assert len(worker_spans) == len(tasks) - 1
+    # every task ran in the pool and got a worker span
+    assert len(worker_spans) == len(tasks)
     for event in worker_spans:
         assert event["name"] == "task:_metric_task"
         assert event["args"]["parent"] == batch["args"]["span_id"]
         assert event["args"]["trace_id"] == tracer.trace_id
 
 
-def test_results_identical_with_and_without_telemetry(
-    fresh_runtime, monkeypatch
-):
-    monkeypatch.setenv("REPRO_PARALLEL", "always")
+def test_results_identical_with_and_without_telemetry(fresh_runtime):
     tasks = list(range(10))
     plain = fresh_runtime.map(_metric_task, tasks, workers=2)
 
